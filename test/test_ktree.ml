@@ -153,6 +153,66 @@ let test_refresh_after_vs_transfer () =
   Ktree.refresh tree dht;
   expect_consistent tree dht
 
+(* ---- message-count formulas ------------------------------------------- *)
+
+(* Every KT node as "start+len depth host", in tree order: two trees
+   with equal shapes give equal lists. *)
+let shape tree =
+  List.rev
+    (Ktree.fold_nodes tree ~init:[] ~f:(fun acc n ->
+         Printf.sprintf "%d+%d d%d h%d"
+           (Region.start n.Ktree.region)
+           (Region.len n.Ktree.region)
+           n.Ktree.depth n.Ktree.host
+         :: acc))
+
+let shape_t = Alcotest.(list string)
+
+let test_build_costs_one_message_per_node () =
+  let dht = build_dht ~seed:17 ~nodes:25 ~vs:3 in
+  let tree = Ktree.build ~route_messages:false ~k:2 dht in
+  (* the root plus one message per planted child *)
+  check Alcotest.int "build = n_nodes" (Ktree.n_nodes tree)
+    (Ktree.messages tree)
+
+let test_sweeps_cost_one_message_per_edge () =
+  let dht = build_dht ~seed:18 ~nodes:25 ~vs:3 in
+  let tree = Ktree.build ~k:2 dht in
+  let edges = Ktree.n_nodes tree - 1 in
+  Ktree.reset_counters tree;
+  ignore (Ktree.sweep_up tree ~at_leaf:(fun _ -> ()) ~combine:(fun _ _ -> ()));
+  check Alcotest.int "sweep_up = n_nodes - 1" edges (Ktree.messages tree);
+  Ktree.reset_counters tree;
+  Ktree.sweep_down tree ~at_root:() ~split:(fun _ v -> v) ~at_leaf:(fun _ _ -> ());
+  check Alcotest.int "sweep_down = n_nodes - 1" edges (Ktree.messages tree)
+
+let test_refresh_stable_ring_costs_heartbeats () =
+  let dht = build_dht ~seed:19 ~nodes:25 ~vs:3 in
+  let tree = Ktree.build ~k:2 dht in
+  let before = shape tree in
+  Ktree.reset_counters tree;
+  Ktree.refresh tree dht;
+  check Alcotest.int "one heartbeat per edge" (Ktree.n_nodes tree - 1)
+    (Ktree.messages tree);
+  check shape_t "shape unchanged" before (shape tree)
+
+let test_refresh_after_crashes_matches_fresh_build () =
+  List.iter
+    (fun seed ->
+      let dht = build_dht ~seed ~nodes:30 ~vs:3 in
+      let tree = Ktree.build ~k:2 dht in
+      let rng = Prng.create ~seed:(seed + 1000) in
+      for _ = 1 to 6 do
+        let alive = Array.of_list (Dht.alive_nodes dht) in
+        Dht.crash dht (Prng.choose rng alive).Dht.node_id
+      done;
+      Ktree.refresh tree dht;
+      check shape_t
+        (Printf.sprintf "seed %d: refresh = fresh build" seed)
+        (shape (Ktree.build ~k:2 dht))
+        (shape tree))
+    [ 20; 21; 22; 23; 24 ]
+
 let test_fold_nodes_count () =
   let dht = build_dht ~seed:16 ~nodes:12 ~vs:2 in
   let tree = Ktree.build ~k:2 dht in
@@ -208,6 +268,17 @@ let () =
           Alcotest.test_case "after transfer" `Quick
             test_refresh_after_vs_transfer;
           Alcotest.test_case "fold_nodes" `Quick test_fold_nodes_count;
+        ] );
+      ( "message counts",
+        [
+          Alcotest.test_case "build = n_nodes" `Quick
+            test_build_costs_one_message_per_node;
+          Alcotest.test_case "sweeps = n_nodes - 1" `Quick
+            test_sweeps_cost_one_message_per_edge;
+          Alcotest.test_case "refresh on a stable ring" `Quick
+            test_refresh_stable_ring_costs_heartbeats;
+          Alcotest.test_case "refresh after crashes = fresh build" `Quick
+            test_refresh_after_crashes_matches_fresh_build;
         ] );
       ( "properties",
         [ qtest prop_tree_consistent_for_any_ring; qtest prop_k8_consistent ]
