@@ -94,9 +94,7 @@ let sinked f (trace_out, metrics_out, series_out) =
   match (trace_out, metrics_out, series_out) with
   | None, None, None -> f None
   | _ ->
-    (* CLI-recorded traces speak schema v2 (parent ids + round spans);
-       trace-summary and trace-analyze accept both versions. *)
-    let obs = Obs.create ~trace_version:2 () in
+    let obs = Obs.create () in
     Fun.protect
       ~finally:(fun () ->
         let flush_to path write =
@@ -203,8 +201,10 @@ let do_verify obs seed n_nodes =
   step "fresh network invariants"
     (P2plb.Invariants.all ~tree ~expected_total:total s.Scenario.dht);
   let r = P2plb.Multiround.run ?obs s in
-  Printf.printf "%-40s %d round(s), final heavy=%d\n" "load balancing"
+  Printf.printf "%-40s %d round(s), stop=%s, final heavy=%d\n"
+    "load balancing"
     (List.length r.P2plb.Multiround.rounds)
+    (P2plb.Multiround.stop_to_string r.P2plb.Multiround.stop)
     r.P2plb.Multiround.final_heavy;
   Ktree.refresh tree s.Scenario.dht;
   step "post-balance invariants"
@@ -229,7 +229,24 @@ let do_overhead ~pool obs seed =
   print_string (E.render_overhead (E.overhead ~pool ?obs ~seed ()))
 
 let do_scale ~pool obs seed sizes rounds =
-  print_string (E.render_scale (E.scale_run ~pool ?obs ~seed ~sizes ~rounds ()))
+  let rows = E.scale_run ~pool ?obs ~seed ~sizes ~rounds () in
+  print_string (E.render_scale rows);
+  let failed =
+    List.filter_map
+      (fun r ->
+        match r.E.sc_stop with
+        | P2plb.Multiround.Violation (round, e) -> Some (r, round, e)
+        | Converged | Fixed_point | Budget -> None)
+      rows
+  in
+  List.iter
+    (fun (r, round, e) ->
+      Printf.printf
+        "INVARIANT VIOLATION: %d nodes, %s workload, after round %d: %s\n\
+        \  replay: lb_sim scale --sizes %d --rounds %d --seed %d\n"
+        r.E.sc_nodes r.E.sc_workload round e r.E.sc_nodes rounds r.E.sc_seed)
+    failed;
+  if not (List.is_empty failed) then exit 1
 
 let do_durability ~pool _obs seed n_nodes =
   print_string (E.render_durability (E.durability ~pool ~seed ~n_nodes ()))
@@ -408,7 +425,7 @@ let run_convergence seed n_nodes max_rounds epsilon_rel chaos_seed json
   let module Controller = P2plb.Controller in
   let module Multiround = P2plb.Multiround in
   let module Faults = P2plb_sim.Faults in
-  let obs = Obs.create ~trace_version:2 () in
+  let obs = Obs.create () in
   let config = { Controller.default with Controller.epsilon_rel } in
   let faults =
     Option.map
@@ -416,14 +433,13 @@ let run_convergence seed n_nodes max_rounds epsilon_rel chaos_seed json
       chaos_seed
   in
   let s = Scenario.build ~seed { Scenario.default with Scenario.n_nodes } in
-  let (_ : Multiround.result) =
-    Multiround.run ~config ?faults ~obs ~max_rounds s
-  in
+  let r = Multiround.run ~config ?faults ~obs ~max_rounds s in
   let series = Obs.series obs in
   let samples = Timeseries.samples series in
   if json then print_string (Timeseries.jsonl_of_samples samples)
   else begin
     print_string (Timeseries.render samples);
+    Printf.printf "stop: %s\n" (Multiround.stop_to_string r.Multiround.stop);
     Printf.printf "series digest: %s\n" (Timeseries.digest series)
   end;
   Option.iter

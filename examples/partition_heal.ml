@@ -67,9 +67,11 @@ let () =
     (Faults.partition_drops faults)
     r.Multiround.crashes r.Multiround.transfer_crashes
     r.Multiround.total_aborted r.Multiround.total_deduped;
-  Printf.printf "converged after heal: %s (final heavy %d / %d live)\n"
-    (if r.Multiround.converged then "yes" else "no")
+  Printf.printf "stop after heal: %s (final heavy %d / %d live)\n"
+    (Multiround.stop_to_string r.Multiround.stop)
     r.Multiround.final_heavy r.Multiround.final_live;
-  match r.Multiround.violation with
-  | None -> print_endline "every round passed the full invariant battery"
-  | Some (i, msg) -> Printf.printf "VIOLATION in round %d: %s\n" i msg
+  match r.Multiround.stop with
+  | Multiround.Violation (i, msg) ->
+    Printf.printf "VIOLATION in round %d: %s\n" i msg
+  | Converged | Fixed_point | Budget ->
+    print_endline "every round passed the full invariant battery"

@@ -554,7 +554,10 @@ let resilience ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 1024)
       in
       let r = Multiround.run ~faults ?obs ~max_rounds ~check s in
       let ok =
-        (match r.Multiround.violation with Some _ -> false | None -> true)
+        (match r.Multiround.stop with
+        | Multiround.Violation _ -> false
+        | Multiround.Converged | Multiround.Fixed_point | Multiround.Budget ->
+          true)
         &&
         match Invariants.all ~expected_total:total dht with
         | Ok () -> true
@@ -841,11 +844,11 @@ let render_sweep ~title ~header rows = Report.table ~title ~header rows
 type scale_row = {
   sc_nodes : int;
   sc_workload : string;
+  sc_seed : int;
   sc_heavy_before : int;
   sc_heavy_after : int;
   sc_rounds : int;
-  sc_converged : bool;
-  sc_fixed_point : bool;
+  sc_stop : Multiround.stop;
   sc_moved_fraction : float;
   sc_tree_depth : int;
 }
@@ -879,47 +882,35 @@ let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
           }
         in
         let s = Scenario.build ~seed:(seed + (17 * i)) config in
+        let expected_total = Dht.total_load s.Scenario.dht in
         (* Underlay-hop pricing is off at this tier: per-source
            Dijkstra vectors over a >100k-vertex graph would dominate
            the run without informing the balance metrics. *)
-        let cc =
+        let config =
           { Controller.default with Controller.account_distance = false }
         in
-        let heavy_before = ref 0 in
-        let heavy_after = ref 0 in
-        let depth = ref 0 in
-        let moved = ref 0.0 in
-        let n_rounds = ref 0 in
-        let converged = ref false in
-        let fixed_point = ref false in
-        (* Rounds repeat on the mutated DHT until no node is heavy
-           (converged), a round moves nothing (fixed point: the
-           residual heavies hold a single VS already exceeding their
-           near-zero fair target, which VS transfer alone cannot fix),
-           or the round budget runs out. *)
-        while (not !converged) && (not !fixed_point) && !n_rounds < rounds do
-          let o = Controller.run ~config:cc ?obs s in
-          let hb, _, _ = o.Controller.census_before in
-          let ha, _, _ = o.Controller.census_after in
-          if !n_rounds = 0 then heavy_before := hb;
-          heavy_after := ha;
-          depth := o.Controller.tree_depth;
-          let moved_round = Controller.moved_fraction o in
-          moved := !moved +. moved_round;
-          incr n_rounds;
-          if ha = 0 then converged := true
-          else if moved_round = 0.0 then fixed_point := true
-        done;
+        let r =
+          Multiround.run ~config ?obs ~max_rounds:rounds
+            ~check:(fun _ -> Invariants.all ~expected_total s.Scenario.dht)
+            s
+        in
+        let run = r.Multiround.rounds in
+        let n_rounds = List.length run in
         {
           sc_nodes = n;
           sc_workload = wname;
-          sc_heavy_before = !heavy_before;
-          sc_heavy_after = !heavy_after;
-          sc_rounds = !n_rounds;
-          sc_converged = !converged;
-          sc_fixed_point = !fixed_point;
-          sc_moved_fraction = !moved;
-          sc_tree_depth = !depth;
+          (* the row's scenario seed is [seed + 17 * i]; a run with
+             [~sizes:[ n ]] puts this row at index [i mod nw] *)
+          sc_seed = seed + (17 * (i - (i mod List.length scale_workloads)));
+          sc_heavy_before = (List.hd run).Multiround.heavy_before;
+          sc_heavy_after = r.Multiround.final_heavy;
+          sc_rounds = n_rounds;
+          sc_stop = r.Multiround.stop;
+          sc_moved_fraction =
+            List.fold_left
+              (fun acc (x : Multiround.round) -> acc +. x.moved_fraction)
+              0.0 run;
+          sc_tree_depth = (List.nth run (n_rounds - 1)).Multiround.tree_depth;
         })
   in
   Array.to_list results
@@ -930,11 +921,11 @@ let render_scale rows =
       "Scale tier: rounds to convergence (no heavy node remains) far \
        beyond the paper's 4096 nodes\n\
        (moved = cumulative per-round moved-load fractions; underlay-hop \
-       pricing off)"
+       pricing off; invariants checked every round)"
     ~header:
       [
-        "nodes"; "workload"; "heavy before"; "heavy after"; "rounds";
-        "converged"; "moved"; "tree depth";
+        "nodes"; "workload"; "heavy before"; "heavy after"; "rounds"; "stop";
+        "moved"; "tree depth";
       ]
     (List.map
        (fun r ->
@@ -944,9 +935,7 @@ let render_scale rows =
            string_of_int r.sc_heavy_before;
            string_of_int r.sc_heavy_after;
            string_of_int r.sc_rounds;
-           (if r.sc_converged then "yes"
-            else if r.sc_fixed_point then "fixed point"
-            else "no");
+           Multiround.stop_to_string r.sc_stop;
            Report.percent_cell r.sc_moved_fraction;
            string_of_int r.sc_tree_depth;
          ])

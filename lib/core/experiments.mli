@@ -260,15 +260,17 @@ val render_sweep :
 type scale_row = {
   sc_nodes : int;
   sc_workload : string;  (** ["gaussian"] or ["pareto"] *)
+  sc_seed : int;
+      (** the [seed] that reproduces this row when [scale_run] is given
+          [~sizes:[ sc_nodes ]] alone *)
   sc_heavy_before : int;  (** heavy census before the first round *)
   sc_heavy_after : int;   (** heavy census after the last round run *)
   sc_rounds : int;        (** rounds actually run *)
-  sc_converged : bool;    (** no heavy node remained *)
-  sc_fixed_point : bool;
-      (** a round moved no load while heavies remained: each residual
-          heavy holds a single VS whose load already exceeds the
-          node's (near-zero) fair target, so VS transfer alone cannot
-          fix it — the known granularity limit of the paper's scheme *)
+  sc_stop : Multiround.stop;
+      (** [Fixed_point] at this tier means each residual heavy holds a
+          single VS whose load already exceeds the node's (near-zero)
+          fair target, so VS transfer alone cannot fix it — the known
+          granularity limit of the paper's scheme *)
   sc_moved_fraction : float;
       (** cumulative per-round moved-load fractions *)
   sc_tree_depth : int;
@@ -283,10 +285,10 @@ val scale_run :
   ?obs:P2plb_obs.Obs.t ->
   ?seed:int -> ?sizes:int list -> ?rounds:int -> unit -> scale_row list
 (** The scale tier: for each size (on a {!Transit_stub.scaled}
-    underlay) and each of the Gaussian and Pareto workloads, repeat
-    full LB rounds on the mutating DHT until convergence (no heavy
-    node remains), a fixed point (a round moves nothing — see
-    [sc_fixed_point]), or [rounds] (default 8) rounds have run.
+    underlay) and each of the Gaussian and Pareto workloads, drive
+    {!Multiround.run} with [~max_rounds:rounds] (default 8) on the
+    mutating DHT, checking {!Invariants.all} with load conservation
+    after every round; [sc_stop] says why the run ended.
     Underlay-hop transfer pricing is disabled
     ({!Controller.config.account_distance}): per-source Dijkstra
     vectors over a >100k-vertex underlay would dominate the run

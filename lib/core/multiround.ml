@@ -1,6 +1,7 @@
 module Dht = P2plb_chord.Dht
 module Engine = P2plb_sim.Engine
 module Faults = P2plb_sim.Faults
+module Trace = P2plb_obs.Trace
 
 type round = {
   index : int;
@@ -16,10 +17,15 @@ type round = {
   repair_messages : int;
   retries : int;
   timeouts : int;
+  tree_depth : int;
+  moved_fraction : float;
 }
+
+type stop = Converged | Fixed_point | Budget | Violation of int * string
 
 type result = {
   rounds : round list;
+  stop : stop;
   converged : bool;
   total_moved : float;
   final_heavy : int;
@@ -33,7 +39,6 @@ type result = {
   crashes : int;
   transfer_crashes : int;
   partitions_formed : int;
-  violation : (int * string) option;
 }
 
 (* Fault-plan crash events pick a victim by rank in [0,1) over the
@@ -75,34 +80,16 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
       (Faults.crashes f, Faults.transfer_crashes f, Faults.partitions_formed f)
     | None -> (0, 0, 0)
   in
-  (* Round spans wrap each controller round so the span forest groups
-     phases under their round.  Gated on trace schema v2: v1 traces
-     stay byte-identical to their digest pins. *)
-  let begin_round index =
-    match obs with
-    | Some o
-      when P2plb_obs.Trace.version (P2plb_obs.Obs.trace o) >= 2 ->
-      Some
-        (P2plb_obs.Trace.begin_span (P2plb_obs.Obs.trace o)
-           ~attrs:[ ("index", P2plb_obs.Trace.Int index) ]
-           "round")
-    | _ -> None
-  in
-  let end_round sp (r : round) =
-    match (obs, sp) with
-    | Some o, Some sp ->
-      P2plb_obs.Trace.end_span (P2plb_obs.Obs.trace o)
-        ~attrs:
-          [
-            ("heavy", P2plb_obs.Trace.Int r.heavy_after);
-            ("transfers", P2plb_obs.Trace.Int r.transfers);
-            ("moved_load", P2plb_obs.Trace.Float r.moved_load);
-          ]
-        sp
-    | _ -> ()
-  in
   let rec go index acc total =
-    let round_sp = begin_round index in
+    (* Round spans wrap each controller round so the span forest groups
+       phases under their round. *)
+    let round_sp =
+      Option.map
+        (fun o ->
+          let tr = P2plb_obs.Obs.trace o in
+          (tr, Trace.begin_span tr ~attrs:[ ("index", Trace.Int index) ] "round"))
+        obs
+    in
     let o = Controller.run ~config ?faults ?engine ?obs scenario in
     (* Drain this round's remaining fault events (e.g. crashes armed
        in the last 30% of the round's time slice). *)
@@ -126,25 +113,32 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
         repair_messages = o.Controller.kt_repair_messages;
         retries = o.Controller.retries;
         timeouts = o.Controller.timeouts;
+        tree_depth = o.Controller.tree_depth;
+        moved_fraction = Controller.moved_fraction o;
       }
     in
-    end_round round_sp r;
-    let violation =
-      match check with
-      | None -> None
-      | Some f -> ( match f r with Ok () -> None | Error e -> Some (index, e))
-    in
+    Option.iter
+      (fun (tr, sp) ->
+        Trace.end_span tr sp
+          ~attrs:
+            [
+              ("heavy", Trace.Int r.heavy_after);
+              ("transfers", Trace.Int r.transfers);
+              ("moved_load", Trace.Float r.moved_load);
+            ])
+      round_sp;
     let acc = r :: acc and total = total +. r.moved_load in
     let stop =
-      match violation with
-      | Some _ -> true
-      | None -> ha = 0 || r.transfers = 0 || index + 1 >= max_rounds
+      match Option.map (fun f -> f r) check with
+      | Some (Error e) -> Some (Violation (index, e))
+      | Some (Ok ()) | None ->
+        if ha = 0 then Some Converged
+        else if r.transfers = 0 then Some Fixed_point
+        else if index + 1 >= max_rounds then Some Budget
+        else None
     in
-    if stop then begin
-      let converged =
-        (match violation with Some _ -> false | None -> true)
-        && (ha = 0 || r.transfers = 0)
-      in
+    match stop with
+    | Some stop ->
       let rounds = List.rev acc in
       let sum f = List.fold_left (fun s r -> s + f r) 0 rounds in
       let c0, tc0, p0 = counters0 in
@@ -158,7 +152,8 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
       in
       {
         rounds;
-        converged;
+        stop;
+        converged = (match stop with Converged | Fixed_point -> true | _ -> false);
         total_moved = total;
         final_heavy = ha;
         final_live = Dht.n_nodes dht;
@@ -171,16 +166,20 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
         crashes;
         transfer_crashes;
         partitions_formed;
-        violation;
       }
-    end
-    else go (index + 1) acc total
+    | None -> go (index + 1) acc total
   in
   go 0 [] 0.0
 
+let stop_to_string = function
+  | Converged -> "converged"
+  | Fixed_point -> "fixed point"
+  | Budget -> "round budget"
+  | Violation (i, _) -> Printf.sprintf "violation@r%d" i
+
 let pp fmt r =
-  Format.fprintf fmt "%d round(s), converged=%b, final heavy=%d/%d live@\n"
-    (List.length r.rounds) r.converged r.final_heavy r.final_live;
+  Format.fprintf fmt "%d round(s), stop=%s, final heavy=%d/%d live@\n"
+    (List.length r.rounds) (stop_to_string r.stop) r.final_heavy r.final_live;
   if
     r.crashes > 0 || r.total_retries > 0 || r.total_timeouts > 0
     || r.transfer_crashes > 0 || r.partitions_formed > 0
@@ -195,10 +194,10 @@ let pp fmt r =
          aborted, %d deduped@\n"
         r.transfer_crashes r.partitions_formed r.total_aborted r.total_deduped
   end;
-  (match r.violation with
-  | None -> ()
-  | Some (index, e) ->
-    Format.fprintf fmt "  INVARIANT VIOLATION after round %d: %s@\n" index e);
+  (match r.stop with
+  | Violation (index, e) ->
+    Format.fprintf fmt "  INVARIANT VIOLATION after round %d: %s@\n" index e
+  | Converged | Fixed_point | Budget -> ());
   List.iter
     (fun round ->
       Format.fprintf fmt

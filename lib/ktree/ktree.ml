@@ -173,8 +173,8 @@ let refresh ?(route_messages = false) t dht =
      not descend into existing subtrees — [visit] below recurses and
      grows each level as it reaches it.  Full [grow] here would make
      the refresh O(nodes * depth): every ancestor re-walks the whole
-     subtree.  Message accounting is unchanged (one message per
-     created child; descent heartbeats are visit's). *)
+     subtree.  One message per created child; descent heartbeats
+     are visit's. *)
   let grow_level n =
     let parts = Region.split n.region t.k in
     Array.iteri
@@ -189,14 +189,7 @@ let refresh ?(route_messages = false) t dht =
         end)
       parts
   in
-  (* Coverage of [n]'s region by an explicit (possibly stale) host. *)
-  let covered_by host n =
-    match Dht.vs_of_id dht host with
-    | None -> false
-    | Some v -> Region.covers ~outer:(Dht.region_of_vs dht v) ~inner:n.region
-  in
   let rec visit n =
-    let old_host = n.host in
     (* Re-resolve the hosting VS (the old one may be gone or may no
        longer own the centre key after churn / VS transfer). *)
     let new_host =
@@ -215,39 +208,6 @@ let refresh ?(route_messages = false) t dht =
       obs_event t "kt/rehost" [ ("depth", P2plb_obs.Trace.Int n.depth) ]
     end;
     if covered_by_host dht n then begin
-      (* A non-root node whose re-host just flipped it to covered was
-         still uncovered when its parent's refresh pass grew the tree,
-         so that pass planted its missing children (lookups issued
-         from the stale host) and the prune below then removed them
-         again.  Replay that transient plant so message accounting —
-         and with it the digest-pinned traces — is identical to the
-         historical whole-subtree regrow. *)
-      if n.depth > 0 && old_host <> n.host && not (covered_by old_host n)
-      then begin
-        (* Exactly {!grow}'s body with [n] forced uncovered: plant the
-           missing slots (from the stale host) and regrow the existing
-           children too — their hosts are still the pre-rehost ones the
-           historical pass saw, since visit is top-down and has not
-           descended here yet.  The whole subtree is discarded by the
-           prune below; only the message count survives. *)
-        let parts = Region.split n.region t.k in
-        Array.iteri
-          (fun i part ->
-            if (not (Region.is_empty part)) && n.children.(i) = None then begin
-              let child =
-                plant ~route_messages t dht ~from:old_host part (n.depth + 1)
-              in
-              t.msg <- t.msg + 1;
-              n.children.(i) <- Some child;
-              invalidate_assignment t;
-              grow ~route_messages t dht child
-            end
-            else
-              match n.children.(i) with
-              | Some child -> grow ~route_messages t dht child
-              | None -> ())
-          parts
-      end;
       (* Became a leaf: prune redundant children. *)
       Array.iteri
         (fun i c ->

@@ -14,12 +14,10 @@ type ev = {
 
 type span = { sp_id : int; sp_name : string }
 
-(* Schema versions the JSONL sink can speak.  v1 is the original
-   encoding, byte-identical to the pre-parent-id sink (digest-pinned
-   by test_faults).  v2 prepends a {"v":2} header line and adds a
-   "parent" field to Begin events. *)
-let min_version = 1
-let max_version = 2
+(* The sink writes schema v2: a {"v":2} header line, and a "parent"
+   field on Begin events.  The reader also accepts header-less v1
+   files, which predate parent ids. *)
+let schema_version = 2
 
 type t = {
   mutable clock : (unit -> float) option;
@@ -28,7 +26,6 @@ type t = {
   mutable n : int;
   mutable next_span : int;
   mutable stack : span list; (* innermost open span first *)
-  mutable version : int;
   mutable touched : bool; (* any set_clock/set_time since creation *)
   mutable n_preset : int; (* events recorded before the first touch *)
 }
@@ -41,17 +38,9 @@ let create () =
     n = 0;
     next_span = 0;
     stack = [];
-    version = 1;
     touched = false;
     n_preset = 0;
   }
-
-let version t = t.version
-
-let set_version t v =
-  if v < min_version || v > max_version then
-    invalid_arg (Printf.sprintf "Trace.set_version: unsupported version %d" v);
-  t.version <- v
 
 let set_clock t f =
   t.touched <- true;
@@ -173,7 +162,7 @@ let kind_to_string = function
   | Begin -> "begin"
   | End -> "end"
 
-let add_event buf ~version e =
+let add_event buf e =
   Buffer.add_string buf "{\"t\":";
   Buffer.add_string buf (float_to_string e.time);
   Buffer.add_string buf ",\"seq\":";
@@ -185,10 +174,10 @@ let add_event buf ~version e =
   Buffer.add_string buf ",\"span\":";
   Buffer.add_string buf (string_of_int e.span);
   (match e.kind with
-  | Begin when version >= 2 ->
+  | Begin ->
     Buffer.add_string buf ",\"parent\":";
     Buffer.add_string buf (string_of_int e.parent)
-  | Begin | Point | End -> ());
+  | Point | End -> ());
   Buffer.add_string buf ",\"attrs\":{";
   List.iteri
     (fun i (k, v) ->
@@ -199,17 +188,13 @@ let add_event buf ~version e =
     e.attrs;
   Buffer.add_string buf "}}\n"
 
-let jsonl_of_events ~version evs =
-  if version < min_version || version > max_version then
-    invalid_arg
-      (Printf.sprintf "Trace.jsonl_of_events: unsupported version %d" version);
+let jsonl_of_events evs =
   let buf = Buffer.create (256 * (List.length evs + 1)) in
-  if version >= 2 then
-    Buffer.add_string buf (Printf.sprintf "{\"v\":%d}\n" version);
-  List.iter (add_event buf ~version) evs;
+  Buffer.add_string buf (Printf.sprintf "{\"v\":%d}\n" schema_version);
+  List.iter (add_event buf) evs;
   Buffer.contents buf
 
-let to_jsonl t = jsonl_of_events ~version:t.version (events t)
+let to_jsonl t = jsonl_of_events (events t)
 
 let write_jsonl t ~path =
   let oc = open_out path in
@@ -429,7 +414,7 @@ let parse_jsonl_full source =
           | J_obj [ ("v", v) ] when not !saw_content ->
             saw_content := true;
             let v = int_of_float (num_of_json "v" v) in
-            if v < min_version || v > max_version then
+            if v < 1 || v > schema_version then
               raise (Bad (Printf.sprintf "unsupported trace version %d" v));
             version := v;
             None

@@ -48,7 +48,6 @@ type seed_outcome = {
   o_seed : int;
   o_config : Faults.config;
   o_rounds : int;
-  o_converged : bool;
   o_final_heavy : int;
   o_final_live : int;
   o_crashes : int;
@@ -60,7 +59,7 @@ type seed_outcome = {
   o_timeouts : int;
   o_moved : float;
   o_final_ratio : float;
-  o_violation : (int * string) option;
+  o_stop : Multiround.stop;
 }
 
 type report = {
@@ -110,7 +109,6 @@ let run_seed ?obs ~n_nodes ~max_rounds ~seed () =
       o_seed = seed;
       o_config = config;
       o_rounds = List.length r.Multiround.rounds;
-      o_converged = r.Multiround.converged;
       o_final_heavy = r.Multiround.final_heavy;
       o_final_live = r.Multiround.final_live;
       o_crashes = r.Multiround.crashes;
@@ -122,9 +120,14 @@ let run_seed ?obs ~n_nodes ~max_rounds ~seed () =
       o_timeouts = r.Multiround.total_timeouts;
       o_moved = r.Multiround.total_moved /. Float.max 1e-9 total;
       o_final_ratio = final_ratio;
-      o_violation = r.Multiround.violation;
+      o_stop = r.Multiround.stop;
     },
     r )
+
+let violated o =
+  match o.o_stop with
+  | Multiround.Violation _ -> true
+  | Multiround.Converged | Multiround.Fixed_point | Multiround.Budget -> false
 
 let soak ?(pool = P2plb_sim.Par.sequential) ?obs ?(n_nodes = 256)
     ?(max_rounds = 3) ?(seeds = 64) ?(base_seed = 1) () =
@@ -140,9 +143,8 @@ let soak ?(pool = P2plb_sim.Par.sequential) ?obs ?(n_nodes = 256)
           let outcome, _ =
             run_seed ?obs ~n_nodes ~max_rounds ~seed:(base_seed + i) ()
           in
-          match outcome.o_violation with
-          | Some _ -> (List.rev (outcome :: acc), Some outcome)
-          | None -> go (i + 1) (outcome :: acc)
+          if violated outcome then (List.rev (outcome :: acc), Some outcome)
+          else go (i + 1) (outcome :: acc)
         end
       in
       go 0 []
@@ -161,7 +163,7 @@ let soak ?(pool = P2plb_sim.Par.sequential) ?obs ?(n_nodes = 256)
         | Some parent ->
           let t0 = P2plb_obs.Trace.now (P2plb_obs.Obs.trace parent) in
           Array.init seeds (fun _ ->
-              P2plb_obs.Obs.create_task parent ~start_time:t0)
+              P2plb_obs.Obs.create_task ~start_time:t0)
       in
       let task_obs i =
         if Array.length children = 0 then None else Some children.(i)
@@ -178,9 +180,8 @@ let soak ?(pool = P2plb_sim.Par.sequential) ?obs ?(n_nodes = 256)
       let first_failure = ref None in
       Array.iteri
         (fun i o ->
-          match (o.o_violation, !first_failure) with
-          | Some _, None -> first_failure := Some i
-          | _ -> ())
+          if violated o && Option.is_none !first_failure then
+            first_failure := Some i)
         results;
       let keep =
         match !first_failure with Some i -> i + 1 | None -> seeds
@@ -214,7 +215,7 @@ let render r =
             r.seeds_requested r.base_seed r.n_nodes r.max_rounds)
        ~header:
          [ "seed"; "crash"; "loss"; "dup"; "xcrash"; "parts"; "rounds";
-           "live"; "heavy"; "ratio"; "aborted"; "dedup"; "invariants" ]
+           "live"; "heavy"; "ratio"; "aborted"; "dedup"; "stop" ]
        (List.map
           (fun o ->
             [
@@ -230,9 +231,7 @@ let render r =
               Report.float_cell o.o_final_ratio;
               string_of_int o.o_aborted;
               string_of_int o.o_deduped;
-              (match o.o_violation with
-              | None -> "ok"
-              | Some (round, _) -> Printf.sprintf "VIOLATED@r%d" round);
+              Multiround.stop_to_string o.o_stop;
             ])
           r.outcomes));
   let completed = List.length r.outcomes in
@@ -254,7 +253,10 @@ let render r =
     Buffer.add_string buf "all seeds passed every per-round invariant check\n"
   | Some o ->
     let round, reason =
-      match o.o_violation with Some v -> v | None -> (-1, "?")
+      match o.o_stop with
+      | Multiround.Violation (round, reason) -> (round, reason)
+      | Multiround.Converged | Multiround.Fixed_point | Multiround.Budget ->
+        (-1, "?")
     in
     Buffer.add_string buf
       (Printf.sprintf
@@ -279,11 +281,7 @@ let replay ?obs ?(n_nodes = 256) ?(max_rounds = 3) ~seed () =
   Buffer.add_string buf
     (Printf.sprintf "final max/avg utilization: %s\n"
        (Report.float_cell outcome.o_final_ratio));
-  (match outcome.o_violation with
-  | None ->
+  if not (violated outcome) then
     Buffer.add_string buf
-      "every per-round invariant check passed (incl. VS conservation)\n"
-  | Some (round, reason) ->
-    Buffer.add_string buf
-      (Printf.sprintf "INVARIANT VIOLATION after round %d: %s\n" round reason));
+      "every per-round invariant check passed (incl. VS conservation)\n";
   Buffer.contents buf

