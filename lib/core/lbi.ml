@@ -30,36 +30,34 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
   (* Each node reports through one randomly chosen VS (to avoid
      redundant per-node reports); the VS hands the report to its
      designated KT leaf. *)
-  let assignment = Ktree.leaf_assignment tree in
   (* Arrival-ordered (leaf slot, report) pairs, grouped per leaf slot
      by a stable counting sort — replaces the per-leaf Hashtbl of
      reverse-arrival report lists. *)
-  let cap = ref 0 and n_reports = ref 0 in
+  let cap = ref 0 and n_reports = ref 0 and n_slots = ref 0 in
   let rep_slot = ref [||] in
   let rep_lbi = ref ([||] : Types.lbi array) in
   Dht.fold_nodes dht ~init:() ~f:(fun () n ->
       let v = Dht.report_vs dht rng n in
-      if reliable faults then
-        match Hashtbl.find_opt assignment v.Dht.vs_id with
-        | None -> () (* cannot happen: every VS hosts a leaf *)
-        | Some leaf ->
-          let slot = Ktree.leaf_slot leaf in
-          if slot >= 0 then begin
-            let r = node_lbi n in
-            if !n_reports = !cap then begin
-              let c = if !cap = 0 then 1024 else 2 * !cap in
-              let slots = Array.make c 0 and lbis = Array.make c r in
-              Array.blit !rep_slot 0 slots 0 !n_reports;
-              Array.blit !rep_lbi 0 lbis 0 !n_reports;
-              cap := c;
-              rep_slot := slots;
-              rep_lbi := lbis
-            end;
-            !rep_slot.(!n_reports) <- slot;
-            !rep_lbi.(!n_reports) <- r;
-            incr n_reports
-          end);
-  let n_slots = Ktree.n_leaf_slots tree in
+      if reliable faults then begin
+        let slot = Ktree.slot_of_vs tree v.Dht.vs_id in
+        if slot >= 0 then begin
+          let r = node_lbi n in
+          if !n_reports = !cap then begin
+            let c = if !cap = 0 then 1024 else 2 * !cap in
+            let slots = Array.make c 0 and lbis = Array.make c r in
+            Array.blit !rep_slot 0 slots 0 !n_reports;
+            Array.blit !rep_lbi 0 lbis 0 !n_reports;
+            cap := c;
+            rep_slot := slots;
+            rep_lbi := lbis
+          end;
+          !rep_slot.(!n_reports) <- slot;
+          !rep_lbi.(!n_reports) <- r;
+          incr n_reports;
+          n_slots := Int.max !n_slots (slot + 1)
+        end
+      end);
+  let n_slots = !n_slots in
   let starts = Array.make (n_slots + 1) 0 in
   for i = 0 to !n_reports - 1 do
     let s = !rep_slot.(i) in
@@ -82,9 +80,8 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
     end
   in
   Ktree.sweep_up tree
-    ~at_leaf:(fun leaf ->
-      let slot = Ktree.leaf_slot leaf in
-      if slot < 0 then zero_lbi
+    ~at_leaf:(fun slot _ ->
+      if slot < 0 || slot >= n_slots then zero_lbi
       else begin
         (* The Hashtbl path folded the reverse-arrival report list, so
            the float sums ran newest-first; iterate the arrival-ordered
@@ -95,11 +92,7 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
         done;
         !acc
       end)
-    ~combine:(fun node children ->
-      (* An internal node's own leaf reports, if any (a KT node's key
-         may coincide with a designated leaf only for leaves, so this
-         is normally [zero_lbi]). *)
-      ignore node;
+    ~combine:(fun _ children ->
       List.fold_left Types.lbi_combine zero_lbi children)
 
 let disseminate ?faults ?(route_messages = false) tree dht lbi =
@@ -111,7 +104,7 @@ let disseminate ?faults ?(route_messages = false) tree dht lbi =
      timeouts (the stale-LBI node re-reads it next round). *)
   Ktree.sweep_down tree ~at_root:lbi
     ~split:(fun _ v -> v)
-    ~at_leaf:(fun _ _ -> ignore (reliable faults))
+    ~at_leaf:(fun _ _ _ -> ignore (reliable faults))
 
 let run ~rng ?faults ?route_messages tree dht =
   let lbi = aggregate ~rng ?faults ?route_messages tree dht in

@@ -109,12 +109,11 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let n_heavy = ref 0 and n_light = ref 0 and n_neutral = ref 0 in
   let publish_hops = ref 0 in
   let shed_offered = ref 0 and load_offered = ref 0.0 in
-  let assignment = Ktree.leaf_assignment tree in
   (* Arrival-ordered (leaf slot, record) reports, grouped per leaf by a
      single stable counting sort below — replaces the per-leaf
      Hashtbl of reverse-arrival lists. *)
   let rep_cap = ref 0 in
-  let n_reports = ref 0 in
+  let n_reports = ref 0 and n_slots = ref 0 in
   let rep_slot = ref [||] in
   let rep_rec = ref ([||] : Types.vsa_record array) in
   let push_report slot r =
@@ -129,13 +128,10 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     end;
     !rep_slot.(!n_reports) <- slot;
     !rep_rec.(!n_reports) <- r;
-    incr n_reports
+    incr n_reports;
+    n_slots := Int.max !n_slots (slot + 1)
   in
-  let slot_of_vs vs_id =
-    match Hashtbl.find_opt assignment vs_id with
-    | Some leaf -> Ktree.leaf_slot leaf
-    | None -> -1
-  in
+  let slot_of_vs = Ktree.slot_of_vs tree in
   (* Classify every node, collect its records and route each to a KT
      leaf according to the mode — one fused pass in alive-node order
      (classification draws no randomness, so collection and routing
@@ -200,7 +196,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     Dht.clear_items dht);
   (* Group the reports per leaf slot: counts, prefix sums, then a stable
      scatter, so each slot's slice keeps arrival order. *)
-  let n_slots = Ktree.n_leaf_slots tree in
+  let n_slots = !n_slots in
   let starts = Array.make (n_slots + 1) 0 in
   for i = 0 to !n_reports - 1 do
     let s = !rep_slot.(i) in
@@ -282,23 +278,22 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   in
   let root_pool =
     Ktree.sweep_up tree
-      ~at_leaf:(fun leaf ->
-        let slot = Ktree.leaf_slot leaf in
-        if slot < 0 then Pairing.empty
+      ~at_leaf:(fun slot depth ->
+        if slot < 0 || slot >= n_slots then Pairing.empty
         else begin
           let lo = starts.(slot) and hi = starts.(slot + 1) in
           if lo = hi then Pairing.empty
           else begin
             let pool = fresh_pool_slice lo hi in
             if Pairing.size pool >= threshold then
-              pair_here leaf.Ktree.depth pool
+              pair_here depth pool
             else pool
           end
         end)
-      ~combine:(fun node children ->
+      ~combine:(fun depth children ->
         let pool = List.fold_left Pairing.merge Pairing.empty children in
-        if node.Ktree.depth = 0 || Pairing.size pool >= threshold then
-          pair_here node.Ktree.depth pool
+        if depth = 0 || Pairing.size pool >= threshold then
+          pair_here depth pool
         else pool)
   in
   {

@@ -76,19 +76,6 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
   let applied : (P2plb_idspace.Id.t * int, unit) Hashtbl.t =
     Hashtbl.create 64
   in
-  (* KT nodes planted per VS, for lazy-migration accounting. *)
-  let kt_per_vs : (P2plb_idspace.Id.t, int) Hashtbl.t = Hashtbl.create 256 in
-  (match tree with
-  | None -> ()
-  | Some t ->
-    ignore
-      (Ktree.fold_nodes t ~init:() ~f:(fun () n ->
-           let cur =
-             match Hashtbl.find_opt kt_per_vs n.Ktree.host with
-             | Some c -> c
-             | None -> 0
-           in
-           Hashtbl.replace kt_per_vs n.Ktree.host (cur + 1))));
   (* Mid-window fail-stop, mirroring the multiround crash guard: never
      empty the ring, never strand every VS on the victim.  [false]
      when the victim was shielded (the transaction then proceeds). *)
@@ -126,12 +113,12 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
     match tree with
     | None -> ()
     | Some t ->
-      let kt_count =
-        match Hashtbl.find_opt kt_per_vs a.a_vs_id with
-        | Some c -> c
-        | None -> 0
-      in
-      restructure := !restructure + (kt_count * (Ktree.k t + 1))
+      (* Lazy migration: every KT node the VS hosted tells its parent
+         and children of the move.  Counted at the tree's last sync,
+         not on the live ring, which crashes after VSA's repair may
+         already have changed. *)
+      restructure :=
+        !restructure + (Ktree.hosted t a.a_vs_id * (Ktree.k t + 1))
   in
   List.iter
     (fun (a : Types.assignment) ->

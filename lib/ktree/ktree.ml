@@ -2,53 +2,48 @@ module Id = P2plb_idspace.Id
 module Region = P2plb_idspace.Region
 module Dht = P2plb_chord.Dht
 
-type kt_node = {
-  region : Region.t;
-  key : Id.t;
-  depth : int;
-  mutable host : Id.t;
-  mutable children : kt_node option array;
-  (* Slot ordinal of this node in the current leaf assignment (see
-     {!leaf_assignment}); -1 when the node is not an assigned leaf.
-     Scratch state rebuilt with the assignment cache. *)
-  mutable tag : int;
-}
+(* The tree is never stored.  A KT node is an interval [start, start +
+   len) reached by K-ary splitting of the ring, and all it needs to know
+   about the ring follows from the VS ids inside that interval, which
+   occupy an index range [lo, hi) of the sorted id array: the host is
+   the first of them at or after the centre (else the next id clockwise)
+   and the node is a leaf when no id cuts the interval.  Each descent
+   narrows the range by binary search, so a walk allocates no nodes. *)
+
+type node = { region : Region.t; depth : int; host : Id.t; leaf : bool }
 
 type t = {
   k : int;
-  mutable root : kt_node;
+  (* Sorted VS ids at the last sync: the tree the sweeps traverse. *)
+  mutable ids : int array;
+  (* Per VS rank: its designated leaf as [pack depth start], or -1. *)
+  mutable leaf_of : int array;
+  (* Per VS rank: KT nodes planted in the VS. *)
+  mutable hosted : int array;
+  mutable n_nodes : int;
+  mutable depth : int;
   mutable msg : int;
   mutable last_rounds : int;
   mutable repaired : int;
   mutable repair_msg : int;
   mutable obs : P2plb_obs.Obs.t option;
-  (* Lazily built host->deepest-leaf table, shared by every
-     leaf_assignment caller in a round; invalidated at each structural
-     mutation (plant / prune / re-host). *)
-  mutable assignment : (Id.t, kt_node) Hashtbl.t option;
-  mutable n_slots : int;
 }
 
 let set_obs t obs = t.obs <- Some obs
 
-let obs_event t name attrs =
+let obs_event t name depth =
   match t.obs with
   | None -> ()
   | Some o ->
-    P2plb_obs.Trace.point (P2plb_obs.Obs.trace o) name ~attrs;
+    P2plb_obs.Trace.point (P2plb_obs.Obs.trace o) name
+      ~attrs:[ ("depth", P2plb_obs.Trace.Int depth) ];
     P2plb_obs.Registry.add
       (P2plb_obs.Registry.counter (P2plb_obs.Obs.metrics o) name)
       1
 
-let invalidate_assignment t =
-  if t.assignment <> None then begin
-    t.assignment <- None;
-    t.n_slots <- 0
-  end
-
 let k t = t.k
-let root t = t.root
-let is_leaf n = Array.for_all (fun c -> c = None) n.children
+let depth t = t.depth
+let n_nodes t = t.n_nodes
 let messages t = t.msg
 let rounds_last_sweep t = t.last_rounds
 let repairs t = t.repaired
@@ -60,384 +55,272 @@ let reset_counters t =
   t.repaired <- 0;
   t.repair_msg <- 0
 
-(* The VS hosting a KT node covers the KT node's whole region: the KT
-   node needs no children (§3.1's leaf test). *)
-let covered_by_host dht n =
-  match Dht.vs_of_id dht n.host with
-  | None -> false
-  | Some v -> Region.covers ~outer:(Dht.region_of_vs dht v) ~inner:n.region
+(* ---- the walk -------------------------------------------------------- *)
 
-let plant ~route_messages t dht ~from region depth =
-  let key = Region.center region in
-  let host =
-    if route_messages then begin
-      let v, hops = Dht.lookup dht ~from ~key in
-      t.msg <- t.msg + hops;
-      v
-    end
-    else Dht.owner_of_key dht key
+(* First index in [lo, hi) whose id is >= x, or [hi]. *)
+let lower_bound ids lo hi x =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if ids.(mid) >= x then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Rank of the VS owning the node's centre key. *)
+let host_rank ids ~start ~len lo hi =
+  let i = lower_bound ids lo hi (start + (len / 2)) in
+  if i < hi then i else if hi = Array.length ids then 0 else hi
+
+(* §3.1's leaf test: the host covers the interval exactly when no id
+   lies in [start, start + len - 2]. *)
+let is_leaf ids ~start ~len lo hi =
+  Array.length ids = 1 || hi = lo || (hi = lo + 1 && ids.(lo) = start + len - 1)
+
+(* [f start len lo hi] on each non-empty part of [Region.split], in
+   order, with the sub-range of [lo, hi) its ids occupy. *)
+let iter_children k ids ~start ~len lo hi f =
+  let base = len / k and extra = len mod k in
+  let s = ref start and clo = ref lo in
+  for i = 0 to (if base = 0 then extra else k) - 1 do
+    let l = if i < extra then base + 1 else base in
+    let chi = lower_bound ids !clo hi (!s + l) in
+    f !s l !clo chi;
+    s := !s + l;
+    clo := chi
+  done
+
+(* A leaf is named by its depth and start; depth is the high part, so a
+   deeper leaf also compares greater. *)
+let pack depth start = (depth lsl Id.bits) lor start
+
+(* The leaf's slot when it is its host's designated leaf, else -1. *)
+let slot t ~start ~len depth lo hi =
+  let r = host_rank t.ids ~start ~len lo hi in
+  if t.leaf_of.(r) = pack depth start then r else -1
+
+(* ---- sync: build, repair and refresh --------------------------------- *)
+
+type mode = Build | Repair | Refresh
+
+let ring_ids dht =
+  let ids = Array.make (Dht.n_vs dht) 0 in
+  ignore
+    (Dht.fold_vs dht ~init:0 ~f:(fun i v ->
+         ids.(i) <- v.Dht.vs_id;
+         i + 1));
+  ids
+
+(* The ring still has exactly the ids of the last sync (a VS transfer
+   keeps its id, so it changes nothing here). *)
+let unchanged t dht =
+  let ids = t.ids in
+  Dht.n_vs dht = Array.length ids
+  && Dht.fold_vs dht ~init:0 ~f:(fun i v ->
+         if i >= 0 && ids.(i) = v.Dht.vs_id then i + 1 else -1)
+     >= 0
+
+(* Descends the tree of the current ring beside the tree of the last
+   sync, replaces the snapshot, and charges what the distributed
+   maintenance would send: K+1 per node whose host changed (it tells
+   its parent and children), one per pruned child and one per planted
+   node.  A repair re-plants from the parent's healed host, or at the
+   root from the old host if it is still in the ring; a plant looks
+   up from the parent's current host; only build and repair route
+   lookups.  Returns the hosts changed. *)
+let sync ~mode ~route_messages t dht =
+  if Dht.n_vs dht = 0 then invalid_arg "Ktree: empty ring";
+  let k = t.k and oids = t.ids and ids = ring_ids dht in
+  let n = Array.length ids in
+  let leaf_of = Array.make n (-1) and hosted = Array.make n 0 in
+  let n_nodes = ref 0 and depth = ref 0 and moved = ref 0 in
+  let charge m =
+    t.msg <- t.msg + m;
+    if mode = Repair then t.repair_msg <- t.repair_msg + m
   in
-  {
-    region;
-    key;
-    depth;
-    host = host.Dht.vs_id;
-    children = Array.make t.k None;
-    tag = -1;
-  }
-
-(* Grow the subtree under [n] until every branch bottoms out in a
-   covered (leaf) node.  One message per created child. *)
-let rec grow ~route_messages t dht n =
-  if not (covered_by_host dht n) then begin
-    let parts = Region.split n.region t.k in
-    Array.iteri
-      (fun i part ->
-        if (not (Region.is_empty part)) && n.children.(i) = None then begin
-          let child =
-            plant ~route_messages t dht ~from:n.host part (n.depth + 1)
+  let lookup ~from key =
+    if route_messages then charge (snd (Dht.lookup dht ~from ~key))
+  in
+  (* [old]: the node existed at the last sync, its ids there in
+     [olo, ohi). *)
+  let rec visit ~start ~len ~d lo hi ~old olo ohi ~parent =
+    let r = host_rank ids ~start ~len lo hi in
+    let host = ids.(r) and leaf = is_leaf ids ~start ~len lo hi in
+    incr n_nodes;
+    if d > !depth then depth := d;
+    hosted.(r) <- hosted.(r) + 1;
+    (* designated leaf: the deepest, the first in preorder on a tie *)
+    if leaf && (leaf_of.(r) < 0 || leaf_of.(r) lsr Id.bits < d) then
+      leaf_of.(r) <- pack d start;
+    let children_old =
+      if old then begin
+        let old_host = oids.(host_rank oids ~start ~len olo ohi) in
+        if old_host <> host then begin
+          lookup
+            ~from:
+              (if d > 0 then parent
+               else if Dht.vs_of_id dht old_host <> None then old_host
+               else host)
+            (start + (len / 2));
+          charge (k + 1);
+          incr moved;
+          obs_event t (if mode = Repair then "kt/replant" else "kt/rehost") d
+        end;
+        let old_leaf = is_leaf oids ~start ~len olo ohi in
+        if leaf && not old_leaf then charge (Int.min k len);
+        not old_leaf
+      end
+      else begin
+        if d > 0 then lookup ~from:parent (start + (len / 2));
+        charge 1;
+        false
+      end
+    in
+    if not leaf then begin
+      let oclo = ref olo in
+      iter_children k ids ~start ~len lo hi (fun s l clo chi ->
+          let ochi =
+            if children_old then lower_bound oids !oclo ohi (s + l) else !oclo
           in
-          t.msg <- t.msg + 1;
-          n.children.(i) <- Some child;
-          invalidate_assignment t;
-          grow ~route_messages t dht child
-        end
-        else
-          match n.children.(i) with
-          | Some child -> grow ~route_messages t dht child
-          | None -> ())
-      parts
-  end
+          visit ~start:s ~len:l ~d:(d + 1) clo chi ~old:children_old !oclo
+            ochi ~parent:host;
+          oclo := ochi)
+    end
+  in
+  visit ~start:0 ~len:Id.space_size ~d:0 0 n ~old:(mode <> Build) 0
+    (Array.length oids) ~parent:0;
+  t.ids <- ids;
+  t.leaf_of <- leaf_of;
+  t.hosted <- hosted;
+  t.n_nodes <- !n_nodes;
+  t.depth <- !depth;
+  !moved
 
 let build ?(route_messages = false) ~k dht =
   if k < 2 then invalid_arg "Ktree.build: k < 2";
-  if Dht.n_vs dht = 0 then invalid_arg "Ktree.build: empty ring";
-  (* The root is hosted by the VS owning the centre of the whole
-     space, located deterministically (§3.1.1). *)
-  let root_key = Region.center Region.whole in
-  let root_host = Dht.owner_of_key dht root_key in
-  let root =
-    {
-      region = Region.whole;
-      key = root_key;
-      depth = 0;
-      host = root_host.Dht.vs_id;
-      children = Array.make k None;
-      tag = -1;
-    }
-  in
   let t =
     {
       k;
-      root;
-      msg = 1;
+      ids = [||];
+      leaf_of = [||];
+      hosted = [||];
+      n_nodes = 0;
+      depth = 0;
+      msg = 0;
       last_rounds = 0;
       repaired = 0;
       repair_msg = 0;
       obs = None;
-      assignment = None;
-      n_slots = 0;
     }
   in
-  grow ~route_messages t dht root;
+  ignore (sync ~mode:Build ~route_messages t dht);
   t
 
-let rec iter_nodes f n =
-  f n;
-  Array.iter (function Some c -> iter_nodes f c | None -> ()) n.children
-
-let depth t =
-  let d = ref 0 in
-  iter_nodes (fun n -> if n.depth > !d then d := n.depth) t.root;
-  !d
-
-let n_nodes t =
-  let c = ref 0 in
-  iter_nodes (fun _ -> incr c) t.root;
-  !c
-
-let n_leaves t =
-  let c = ref 0 in
-  iter_nodes (fun n -> if is_leaf n then incr c) t.root;
-  !c
-
-let leaves t =
-  let acc = ref [] in
-  iter_nodes (fun n -> if is_leaf n then acc := n :: !acc) t.root;
-  List.sort
-    (fun a b -> Id.compare (Region.start a.region) (Region.start b.region))
-    !acc
-
-let refresh ?(route_messages = false) t dht =
-  (* One level of {!grow}: plant the missing children of [n] but do
-     not descend into existing subtrees — [visit] below recurses and
-     grows each level as it reaches it.  Full [grow] here would make
-     the refresh O(nodes * depth): every ancestor re-walks the whole
-     subtree.  One message per created child; descent heartbeats
-     are visit's. *)
-  let grow_level n =
-    let parts = Region.split n.region t.k in
-    Array.iteri
-      (fun i part ->
-        if (not (Region.is_empty part)) && n.children.(i) = None then begin
-          let child =
-            plant ~route_messages t dht ~from:n.host part (n.depth + 1)
-          in
-          t.msg <- t.msg + 1;
-          n.children.(i) <- Some child;
-          invalidate_assignment t
-        end)
-      parts
-  in
-  let rec visit n =
-    (* Re-resolve the hosting VS (the old one may be gone or may no
-       longer own the centre key after churn / VS transfer). *)
-    let new_host =
-      if route_messages then begin
-        let v, hops = Dht.lookup dht ~from:n.host ~key:n.key in
-        t.msg <- t.msg + hops;
-        v
-      end
-      else Dht.owner_of_key dht n.key
-    in
-    if new_host.Dht.vs_id <> n.host then begin
-      n.host <- new_host.Dht.vs_id;
-      invalidate_assignment t;
-      (* Re-planting notifies parent and children: at most K+1 msgs. *)
-      t.msg <- t.msg + t.k + 1;
-      obs_event t "kt/rehost" [ ("depth", P2plb_obs.Trace.Int n.depth) ]
-    end;
-    if covered_by_host dht n then begin
-      (* Became a leaf: prune redundant children. *)
-      Array.iteri
-        (fun i c ->
-          match c with
-          | Some _ ->
-            t.msg <- t.msg + 1;
-            n.children.(i) <- None;
-            invalidate_assignment t
-          | None -> ())
-        n.children
-    end
-    else begin
-      grow_level n;
-      Array.iter
-        (function
-          | Some c ->
-            t.msg <- t.msg + 1 (* heartbeat *);
-            visit c
-          | None -> ())
-        n.children
-    end
-  in
-  (* The root's host may have changed; it is re-located determin-
-     istically at the centre of the whole space. *)
-  visit t.root
-
-(* A KT node is broken when its hosting VS left the ring (its owner
-   died) or still exists but no longer owns the node's centre key (the
-   region boundary moved under churn). *)
-let broken dht n =
-  match Dht.vs_of_id dht n.host with
-  | None -> true
-  | Some _ -> (Dht.owner_of_key dht n.key).Dht.vs_id <> n.host
-
 let repair ?(route_messages = false) t dht =
-  let repaired_now = ref 0 in
-  (* Re-plant one broken node.  [from] is a VS known to be live (the
-     nearest live ancestor's host) that issues the recovery lookup; if
-     even that is gone, the key's new owner discovers the orphan
-     locally (zero hops). *)
-  let replant ~from n =
-    let host =
-      if route_messages then begin
-        let from =
-          match Dht.vs_of_id dht from with
-          | Some _ -> from
-          | None -> (Dht.owner_of_key dht n.key).Dht.vs_id
-        in
-        let v, hops = Dht.lookup dht ~from ~key:n.key in
-        t.msg <- t.msg + hops;
-        t.repair_msg <- t.repair_msg + hops;
-        v
-      end
-      else Dht.owner_of_key dht n.key
-    in
-    n.host <- host.Dht.vs_id;
-    invalidate_assignment t;
-    (* Re-planting notifies parent and children: at most K+1 msgs. *)
-    t.msg <- t.msg + t.k + 1;
-    t.repair_msg <- t.repair_msg + t.k + 1;
-    t.repaired <- t.repaired + 1;
-    obs_event t "kt/replant" [ ("depth", P2plb_obs.Trace.Int n.depth) ];
-    incr repaired_now
-  in
-  let rec visit ~from n =
-    if broken dht n then replant ~from n;
-    if covered_by_host dht n then
-      (* Became a leaf (e.g. its host absorbed a dead neighbour's
-         region): prune now-redundant children. *)
-      Array.iteri
-        (fun i c ->
-          match c with
-          | Some _ ->
-            t.msg <- t.msg + 1;
-            t.repair_msg <- t.repair_msg + 1;
-            n.children.(i) <- None;
-            invalidate_assignment t
-          | None -> ())
-        n.children
+  if unchanged t dht then 0
+  else begin
+    let moved = sync ~mode:Repair ~route_messages t dht in
+    t.repaired <- t.repaired + moved;
+    moved
+  end
+
+let refresh t dht =
+  if not (unchanged t dht) then
+    ignore (sync ~mode:Refresh ~route_messages:false t dht);
+  (* one heartbeat per parent-child edge *)
+  t.msg <- t.msg + t.n_nodes - 1
+
+(* ---- queries over the last sync -------------------------------------- *)
+
+let slot_of_vs t id =
+  let n = Array.length t.ids in
+  let i = lower_bound t.ids 0 n id in
+  if i < n && t.ids.(i) = id then i else -1
+
+let hosted t id =
+  match slot_of_vs t id with -1 -> 0 | r -> t.hosted.(r)
+
+let fold_nodes t ~init ~f =
+  let ids = t.ids in
+  let rec visit acc ~start ~len d lo hi =
+    let leaf = is_leaf ids ~start ~len lo hi in
+    let host = ids.(host_rank ids ~start ~len lo hi) in
+    let region = Region.make ~start ~len in
+    let acc = f acc { region; depth = d; host; leaf } in
+    if leaf then acc
     else begin
-      (* Like {!grow}, but heal every child before descending so
-         recovery lookups are never issued from a dead VS, and charge
-         the re-grown subtree to the repair budget. *)
-      let parts = Region.split n.region t.k in
-      Array.iteri
-        (fun i part ->
-          if (not (Region.is_empty part)) && n.children.(i) = None then begin
-            let m0 = t.msg in
-            let child =
-              plant ~route_messages t dht ~from:n.host part (n.depth + 1)
-            in
-            t.msg <- t.msg + 1;
-            t.repair_msg <- t.repair_msg + (t.msg - m0);
-            n.children.(i) <- Some child;
-            invalidate_assignment t;
-            visit ~from:n.host child
-          end
-          else
-            match n.children.(i) with
-            | Some child -> visit ~from:n.host child
-            | None -> ())
-        parts
+      let acc = ref acc in
+      iter_children t.k ids ~start ~len lo hi (fun s l clo chi ->
+          acc := visit !acc ~start:s ~len:l (d + 1) clo chi);
+      !acc
     end
   in
-  visit ~from:t.root.host t.root;
-  !repaired_now
+  visit init ~start:0 ~len:Id.space_size 0 0 (Array.length ids)
 
+(* Hosts and leafness come from the DHT here, not from the walk's range
+   arithmetic, so the check is independent of it. *)
 let check_consistent t dht =
   let error = ref None in
-  let fail fmt = Format.kasprintf (fun s -> if !error = None then error := Some s) fmt in
-  if not (Region.is_whole t.root.region) then fail "root region is not the whole ring";
-  let seen_leaf_vs = Hashtbl.create 256 in
-  let rec visit n =
-    if n.key <> Region.center n.region then
-      fail "KT node key %a is not its region centre" Id.pp n.key;
-    (match Dht.vs_of_id dht n.host with
-    | None -> fail "KT node at %a planted in missing VS %a" Id.pp n.key Id.pp n.host
-    | Some v ->
-      let owner = Dht.owner_of_key dht n.key in
-      if owner.Dht.vs_id <> v.Dht.vs_id then
-        fail "KT node at %a planted in VS %a but key owned by %a" Id.pp n.key
-          Id.pp n.host Id.pp owner.Dht.vs_id;
-      let leaf = is_leaf n in
-      let cov = Region.covers ~outer:(Dht.region_of_vs dht v) ~inner:n.region in
-      if leaf && not cov then
-        fail "leaf at %a not covered by its hosting VS" Id.pp n.key;
-      if (not leaf) && cov then
-        fail "covered node at %a still has children" Id.pp n.key;
-      if leaf then Hashtbl.replace seen_leaf_vs n.host ());
-    if not (is_leaf n) then begin
-      let parts = Region.split n.region t.k in
-      Array.iteri
-        (fun i c ->
-          match c with
-          | Some child ->
-            if not (Region.equal child.region parts.(i)) then
-              fail "child %d of node at %a has wrong region" i Id.pp n.key;
-            if child.depth <> n.depth + 1 then
-              fail "child depth mismatch under %a" Id.pp n.key;
-            visit child
-          | None ->
-            if not (Region.is_empty parts.(i)) then
-              fail "missing child %d (non-empty region) under %a" i Id.pp n.key)
-        n.children
-    end
+  let fail fmt =
+    Format.kasprintf (fun s -> if !error = None then error := Some s) fmt
   in
-  visit t.root;
+  let hosts_leaf = Hashtbl.create 256 in
+  let nodes, depth =
+    fold_nodes t ~init:(0, 0) ~f:(fun (nodes, depth) n ->
+        let key = Region.center n.region in
+        (match Dht.vs_of_id dht n.host with
+        | None ->
+          fail "KT node at %a planted in missing VS %a" Id.pp key Id.pp n.host
+        | Some v ->
+          let owner = Dht.owner_of_key dht key in
+          if owner.Dht.vs_id <> n.host then
+            fail "KT node at %a planted in VS %a but key owned by %a" Id.pp key
+              Id.pp n.host Id.pp owner.Dht.vs_id;
+          let cov =
+            Region.covers ~outer:(Dht.region_of_vs dht v) ~inner:n.region
+          in
+          if n.leaf && not cov then
+            fail "leaf at %a not covered by its hosting VS" Id.pp key;
+          if (not n.leaf) && cov then
+            fail "covered node at %a still has children" Id.pp key;
+          if n.leaf then Hashtbl.replace hosts_leaf n.host ());
+        (nodes + 1, Int.max depth n.depth))
+  in
+  if nodes <> t.n_nodes then
+    fail "n_nodes %d but %d nodes walked" t.n_nodes nodes;
+  if depth <> t.depth then fail "depth %d but %d walked" t.depth depth;
   (* Every VS must host at least one leaf (§3.1). *)
   Dht.fold_vs dht ~init:() ~f:(fun () v ->
-      if not (Hashtbl.mem seen_leaf_vs v.Dht.vs_id) then
+      if not (Hashtbl.mem hosts_leaf v.Dht.vs_id) then
         fail "VS %a hosts no KT leaf" Id.pp v.Dht.vs_id);
   match !error with None -> Ok () | Some e -> Error e
 
-let fold_nodes t ~init ~f =
-  let acc = ref init in
-  iter_nodes (fun n -> acc := f !acc n) t.root;
-  !acc
-
-let leaf_assignment t =
-  match t.assignment with
-  | Some table -> table
-  | None ->
-    let table : (Id.t, kt_node) Hashtbl.t = Hashtbl.create 256 in
-    iter_nodes
-      (fun n ->
-        if is_leaf n then
-          match Hashtbl.find_opt table n.host with
-          | Some existing when existing.depth >= n.depth -> ()
-          | _ -> Hashtbl.replace table n.host n)
-      t.root;
-    (* Second deterministic pass: number the assigned leaves in tree
-       order (ordinals back the array-indexed rendezvous in Vsa/Lbi)
-       and clear stale tags everywhere else. *)
-    let next = ref 0 in
-    iter_nodes
-      (fun n ->
-        if
-          is_leaf n
-          && match Hashtbl.find_opt table n.host with
-             | Some winner -> winner == n
-             | None -> false
-        then begin
-          n.tag <- !next;
-          incr next
-        end
-        else n.tag <- -1)
-      t.root;
-    t.assignment <- Some table;
-    t.n_slots <- !next;
-    table
-
-let leaf_slot n = n.tag
-let n_leaf_slots t = t.n_slots
+(* ---- sweeps ---------------------------------------------------------- *)
 
 let sweep_up t ~at_leaf ~combine =
-  let max_depth = ref 0 in
-  let rec visit n =
-    if n.depth > !max_depth then max_depth := n.depth;
-    if is_leaf n then at_leaf n
+  let ids = t.ids in
+  let rec visit ~start ~len d lo hi =
+    if is_leaf ids ~start ~len lo hi then at_leaf (slot t ~start ~len d lo hi) d
     else begin
-      let child_results =
-        Array.fold_left
-          (fun acc c ->
-            match c with
-            | Some child ->
-              t.msg <- t.msg + 1;
-              visit child :: acc
-            | None -> acc)
-          [] n.children
-      in
-      combine n (List.rev child_results)
+      let results = ref [] in
+      iter_children t.k ids ~start ~len lo hi (fun s l clo chi ->
+          t.msg <- t.msg + 1;
+          results := visit ~start:s ~len:l (d + 1) clo chi :: !results);
+      combine d (List.rev !results)
     end
   in
-  let result = visit t.root in
-  t.last_rounds <- !max_depth + 1;
+  let result = visit ~start:0 ~len:Id.space_size 0 0 (Array.length ids) in
+  t.last_rounds <- t.depth + 1;
   result
 
 let sweep_down t ~at_root ~split ~at_leaf =
-  let max_depth = ref 0 in
-  let rec visit n value =
-    if n.depth > !max_depth then max_depth := n.depth;
-    if is_leaf n then at_leaf n value
+  let ids = t.ids in
+  let rec visit ~start ~len d lo hi value =
+    if is_leaf ids ~start ~len lo hi then
+      at_leaf (slot t ~start ~len d lo hi) d value
     else
-      Array.iter
-        (function
-          | Some child ->
-            t.msg <- t.msg + 1;
-            visit child (split child value)
-          | None -> ())
-        n.children
+      iter_children t.k ids ~start ~len lo hi (fun s l clo chi ->
+          t.msg <- t.msg + 1;
+          visit ~start:s ~len:l (d + 1) clo chi (split (d + 1) value))
   in
-  visit t.root at_root;
-  t.last_rounds <- !max_depth + 1
+  visit ~start:0 ~len:Id.space_size 0 0 (Array.length ids) at_root;
+  t.last_rounds <- t.depth + 1

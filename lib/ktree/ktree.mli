@@ -12,124 +12,126 @@ module Dht = P2plb_chord.Dht
     otherwise its region splits into K equal parts, one per child.
     This guarantees at least one KT leaf is planted in every VS.
 
-    The tree is soft state: {!refresh} re-runs the periodic grow /
-    prune / re-plant checks against the current ring, which is how the
-    tree self-repairs after joins, leaves, crashes and VS transfers.
+    The tree is a function of the ring, so it is not stored: a value
+    of {!t} keeps the sorted VS ids seen at the last {e sync}
+    ({!build}, {!repair} or a changing {!refresh}) plus per-VS
+    summaries, and every operation computes the nodes it needs by one
+    descent over those ids.  Sweeps, {!fold_nodes} and the per-VS
+    queries see the tree of the last sync, not the live ring.
 
-    Message accounting: child-creation plants cost a DHT lookup
-    (counted in overlay hops when [route_messages] is on) plus one
-    message; refresh heartbeats cost one message per parent–child
-    edge; sweeps cost one message per edge traversed. *)
-
-type kt_node = private {
-  region : Region.t;
-  key : Id.t;  (** centre of [region]: the DHT key it is planted at *)
-  depth : int; (** root = 0 *)
-  mutable host : Id.t;  (** id of the hosting virtual server *)
-  mutable children : kt_node option array;  (** length K *)
-  mutable tag : int;
-      (** leaf-slot ordinal under the current {!leaf_assignment}
-          (see {!leaf_slot}); -1 otherwise *)
-}
+    Maintenance is soft state: {!repair} and {!refresh} diff the tree
+    of the current ring against the tree of the last sync and charge
+    what the distributed protocol would send.  A host change (the node
+    is re-planted) costs K+1 messages, a pruned child one, a planted
+    child one plus, with [route_messages], the hops of its DHT lookup.
+    {!refresh} adds one heartbeat per edge; sweeps cost one message
+    per edge traversed. *)
 
 type t
+
+type node = {
+  region : Region.t;
+  depth : int;  (** root = 0 *)
+  host : Id.t;  (** id of the VS owning the region's centre key *)
+  leaf : bool;  (** the host's region covers [region] *)
+}
+(** A KT node as {!fold_nodes} shows it: computed on the fly, not part
+    of any stored structure. *)
 
 val set_obs : t -> P2plb_obs.Obs.t -> unit
 (** Routes tree-maintenance events to an observability bundle:
     {!refresh} host changes emit ["kt/rehost"] points and {!repair}
     re-plants emit ["kt/replant"] points (both with a [depth]
-    attribute), each also bumping the counter of the same name.
-    Without an attachment the tree stays silent. *)
+    attribute, in preorder), each also bumping the counter of the same
+    name.  Without an attachment the tree stays silent. *)
 
 val build : ?route_messages:bool -> k:int -> 'a Dht.t -> t
-(** Constructs the tree top-down against the current ring.  Requires a
-    non-empty ring.  [route_messages] (default false) additionally
-    routes each planting lookup through Chord to charge realistic hop
+(** Plants the tree against the current ring, one message per node.
+    Requires a non-empty ring and [k >= 2].  [route_messages]
+    (default false) additionally routes each child's planting lookup
+    through Chord from its parent's host to charge realistic hop
     counts to the message counter. *)
 
 val k : t -> int
-val root : t -> kt_node
-val is_leaf : kt_node -> bool
 
 val depth : t -> int
-(** Maximum depth over all current KT nodes — the bound on
-    aggregation / dissemination rounds, O(log_K N). *)
+(** Maximum depth over all KT nodes — the bound on aggregation /
+    dissemination rounds.  An interval splits until no other id cuts
+    it, so depth follows how closely VS ids crowd, not N alone: the
+    bound is log_K of the id space (32 at K = 2), not O(log_K N).
+    O(1). *)
 
 val n_nodes : t -> int
-val n_leaves : t -> int
+(** O(1). *)
 
-val leaves : t -> kt_node list
-(** In identifier-space order. *)
-
-val refresh : ?route_messages:bool -> t -> 'a Dht.t -> unit
+val refresh : t -> 'a Dht.t -> unit
 (** One periodic maintenance pass: re-resolve every KT node's hosting
     VS, prune children of nodes that became leaves, grow children that
-    became necessary.  Idempotent once the ring is stable. *)
+    became necessary, and send one heartbeat per edge.  On a ring with
+    the ids of the last sync only the heartbeats are charged. *)
 
 val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
 (** Reactive self-repair, run before a sweep traverses the tree under
-    churn: detect KT nodes whose hosting VS is dead or no longer owns
-    the node's centre key, re-plant each via a DHT lookup issued from
-    the nearest live ancestor, then prune/grow the affected subtrees
-    against the current ring.  Unlike {!refresh} it touches only
-    broken nodes, so it is free (and counts nothing) on a healthy
-    ring.  Returns the number of KT nodes re-planted this pass;
-    cumulative costs are exposed by {!repairs} / {!repair_messages}. *)
+    churn: re-plant every KT node whose hosting VS left the ring or no
+    longer owns the node's centre key, then prune/grow against the
+    current ring.  With [route_messages] a re-plant's lookup is issued
+    from the parent's healed host (at the root from the old host if it
+    is alive, else by the key's new owner).  Free, and it counts
+    nothing, when the ring has the ids of the last sync.  Returns the
+    number of KT nodes re-planted this pass; cumulative costs are
+    exposed by {!repairs} / {!repair_messages}. *)
 
 val check_consistent : t -> 'a Dht.t -> (unit, string) result
-(** Structural invariants: root covers the ring, children partition
-    their parent's region, every KT node is planted at its region's
-    centre in the correct VS, leaves are exactly the covered nodes,
-    and every VS hosts at least one leaf.  Used by tests. *)
+(** Structural invariants against the live ring, derived through the
+    DHT ([owner_of_key], [region_of_vs]) rather than the walk's own
+    arithmetic: every KT node is planted in the live VS owning its
+    region's centre, leaves are exactly the covered nodes, {!n_nodes}
+    and {!depth} match the walk, and every VS hosts at least one
+    leaf.  Fails when the ring changed since the last sync. *)
 
-val fold_nodes : t -> init:'a -> f:('a -> kt_node -> 'a) -> 'a
+val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 (** Over all KT nodes, preorder. *)
 
-val leaf_assignment : t -> (Id.t, kt_node) Hashtbl.t
-(** For every VS (keyed by VS id), the designated leaf it reports
-    through — the deepest-first leaf planted in it.  A VS hosting
-    several leaves reports through exactly one to avoid redundant
-    information (§3.2, §4.3).  The table is cached on the tree and
-    shared by every caller until the next structural mutation
-    (plant / prune / re-host), so repeated per-round calls cost one
-    traversal. *)
+val slot_of_vs : t -> Id.t -> int
+(** The VS's rank among the ids of the last sync, or -1 if it was not
+    on the ring then.  Every such VS reports through one designated
+    leaf — the deepest leaf planted in it, the first in preorder on a
+    tie (§3.2, §4.3) — and the sweeps hand that leaf this slot, so
+    reports can be grouped by slot in an array. *)
 
-val leaf_slot : kt_node -> int
-(** The node's slot ordinal in the current {!leaf_assignment}: assigned
-    leaves are numbered [0 .. n_leaf_slots - 1] in preorder; any other
-    node answers -1.  Only meaningful after a {!leaf_assignment} call
-    on the owning tree, until the next structural mutation.  Backs the
-    array-indexed (counting-sort) rendezvous in the VSA/LBI hot
-    paths. *)
-
-val n_leaf_slots : t -> int
-(** Number of assigned leaves numbered by the cached assignment; 0 when
-    no assignment is cached. *)
+val hosted : t -> Id.t -> int
+(** KT nodes planted in the VS at the last sync (0 if it was not on
+    the ring then): what moving the VS drags along (§4.4). *)
 
 (** {1 Sweeps}
 
     The communication patterns of LBI aggregation (bottom-up),
-    dissemination (top-down) and VSA (bottom-up).  Each traversed edge
-    counts as one message; the number of rounds equals the tree depth. *)
+    dissemination (top-down) and VSA (bottom-up), over the tree of the
+    last sync.  Each traversed edge counts as one message; the number
+    of rounds equals the tree depth plus one.  A leaf is passed as its
+    slot (see {!slot_of_vs}; -1 unless it is its host's designated
+    leaf) and its depth; an internal node as its depth. *)
 
 val sweep_up :
-  t -> at_leaf:(kt_node -> 'a) -> combine:(kt_node -> 'a list -> 'a) -> 'a
-(** [combine] is applied at every internal node to the results of its
-    (present) children, deepest first; returns the root's value. *)
+  t -> at_leaf:(int -> int -> 'a) -> combine:(int -> 'a list -> 'a) -> 'a
+(** [at_leaf slot depth] runs on the leaves in preorder; [combine depth
+    children] runs at every internal node on its children's results in
+    child order, deepest first; returns the root's value. *)
 
 val sweep_down :
   t ->
   at_root:'a ->
-  split:(kt_node -> 'a -> 'a) ->
-  at_leaf:(kt_node -> 'a -> unit) ->
+  split:(int -> 'a -> 'a) ->
+  at_leaf:(int -> int -> 'a -> unit) ->
   unit
-(** Pushes a value down from the root; [split] transforms the value as
-    it crosses each edge (identity for LBI dissemination). *)
+(** Pushes a value down from the root; [split depth v] transforms the
+    value as it crosses an edge into a node at [depth] (identity for
+    LBI dissemination); [at_leaf slot depth v] receives it. *)
 
 (** {1 Cost accounting} *)
 
 val messages : t -> int
-(** Messages spent so far on building, refreshing and sweeping. *)
+(** Messages spent so far on building, maintaining and sweeping. *)
 
 val rounds_last_sweep : t -> int
 (** Rounds (tree levels traversed) of the most recent sweep. *)

@@ -34,7 +34,7 @@ let test_kt_repair_after_host_death () =
         match acc with
         | Some _ -> acc
         | None ->
-          if Array.exists Option.is_some n.Ktree.children then Some n else None)
+          if n.Ktree.leaf then None else Some n)
   in
   let n = Option.get interior in
   let owner = (Option.get (Dht.vs_of_id dht n.Ktree.host)).Dht.owner in

@@ -33,35 +33,53 @@ let test_build_k8_consistent () =
 let test_single_vs_is_root_leaf () =
   let dht = build_dht ~seed:3 ~nodes:1 ~vs:1 in
   let tree = Ktree.build ~k:2 dht in
-  check Alcotest.bool "root is leaf" true (Ktree.is_leaf (Ktree.root tree));
   check Alcotest.int "one node" 1 (Ktree.n_nodes tree);
+  check Alcotest.bool "root is leaf" true
+    (Ktree.fold_nodes tree ~init:true ~f:(fun acc n -> acc && n.Ktree.leaf));
   expect_consistent tree dht
 
 let test_root_region_whole () =
   let dht = build_dht ~seed:4 ~nodes:10 ~vs:2 in
   let tree = Ktree.build ~k:2 dht in
+  let root = Ktree.fold_nodes tree ~init:None ~f:(fun acc n ->
+      match acc with None -> Some n | Some _ -> acc) in
   check Alcotest.bool "root owns everything" true
-    (Region.is_whole (Ktree.root tree).Ktree.region)
+    (Region.is_whole (Option.get root).Ktree.region)
+
+(* The leaves in preorder, as [(host, designated)] pairs. *)
+let leaves tree =
+  let hosts =
+    Ktree.fold_nodes tree ~init:[] ~f:(fun acc n ->
+        if n.Ktree.leaf then n.Ktree.host :: acc else acc)
+  in
+  let designated =
+    Ktree.sweep_up tree
+      ~at_leaf:(fun slot _ -> [ slot ])
+      ~combine:(fun _ children -> List.concat children)
+  in
+  List.combine (List.rev hosts) designated
 
 let test_every_vs_hosts_a_leaf () =
-  (* The §3.1 guarantee; check_consistent verifies it, but assert the
-     leaf_assignment table covers every VS too. *)
+  (* The §3.1 guarantee; check_consistent verifies it, but assert every
+     VS has a slot and exactly one designated leaf it hosts, too. *)
   let dht = build_dht ~seed:5 ~nodes:25 ~vs:3 in
   let tree = Ktree.build ~k:2 dht in
-  let table = Ktree.leaf_assignment tree in
+  let leaves = leaves tree in
   Dht.fold_vs dht ~init:() ~f:(fun () v ->
-      match Hashtbl.find_opt table v.Dht.vs_id with
-      | Some leaf ->
-        check Alcotest.int "designated leaf hosted by the VS" v.Dht.vs_id
-          leaf.Ktree.host
-      | None -> Alcotest.fail "VS without designated leaf")
+      let slot = Ktree.slot_of_vs tree v.Dht.vs_id in
+      check Alcotest.bool "VS has a slot" true (slot >= 0);
+      check Alcotest.(list int) "one designated leaf, hosted by the VS"
+        [ v.Dht.vs_id ]
+        (List.filter_map
+           (fun (host, s) -> if s = slot then Some host else None)
+           leaves))
 
 let test_leaves_partition_ring () =
   let dht = build_dht ~seed:6 ~nodes:20 ~vs:3 in
   let tree = Ktree.build ~k:2 dht in
-  let leaves = Ktree.leaves tree in
   let total =
-    List.fold_left (fun acc l -> acc + Region.len l.Ktree.region) 0 leaves
+    Ktree.fold_nodes tree ~init:0 ~f:(fun acc n ->
+        if n.Ktree.leaf then acc + Region.len n.Ktree.region else acc)
   in
   check Alcotest.int "leaf regions partition the ring" Id.space_size total
 
@@ -77,10 +95,11 @@ let test_sweep_up_counts_leaves () =
   let tree = Ktree.build ~k:2 dht in
   let total =
     Ktree.sweep_up tree
-      ~at_leaf:(fun _ -> 1)
+      ~at_leaf:(fun _ _ -> 1)
       ~combine:(fun _ children -> List.fold_left ( + ) 0 children)
   in
-  check Alcotest.int "sweep_up visits every leaf" (Ktree.n_leaves tree) total;
+  check Alcotest.int "sweep_up visits every leaf" (List.length (leaves tree))
+    total;
   check Alcotest.bool "rounds recorded" true (Ktree.rounds_last_sweep tree > 0)
 
 let test_sweep_down_reaches_leaves () =
@@ -89,17 +108,17 @@ let test_sweep_down_reaches_leaves () =
   let hits = ref 0 in
   Ktree.sweep_down tree ~at_root:42
     ~split:(fun _ v -> v)
-    ~at_leaf:(fun _ v ->
+    ~at_leaf:(fun _ _ v ->
       check Alcotest.int "value propagated" 42 v;
       incr hits);
-  check Alcotest.int "all leaves reached" (Ktree.n_leaves tree) !hits
+  check Alcotest.int "all leaves reached" (List.length (leaves tree)) !hits
 
 let test_sweep_messages_counted () =
   let dht = build_dht ~seed:10 ~nodes:10 ~vs:2 in
   let tree = Ktree.build ~k:2 dht in
   Ktree.reset_counters tree;
   ignore
-    (Ktree.sweep_up tree ~at_leaf:(fun _ -> ()) ~combine:(fun _ _ -> ()));
+    (Ktree.sweep_up tree ~at_leaf:(fun _ _ -> ()) ~combine:(fun _ _ -> ()));
   (* one message per edge = n_nodes - 1 *)
   check Alcotest.int "edges traversed" (Ktree.n_nodes tree - 1)
     (Ktree.messages tree)
@@ -180,10 +199,10 @@ let test_sweeps_cost_one_message_per_edge () =
   let tree = Ktree.build ~k:2 dht in
   let edges = Ktree.n_nodes tree - 1 in
   Ktree.reset_counters tree;
-  ignore (Ktree.sweep_up tree ~at_leaf:(fun _ -> ()) ~combine:(fun _ _ -> ()));
+  ignore (Ktree.sweep_up tree ~at_leaf:(fun _ _ -> ()) ~combine:(fun _ _ -> ()));
   check Alcotest.int "sweep_up = n_nodes - 1" edges (Ktree.messages tree);
   Ktree.reset_counters tree;
-  Ktree.sweep_down tree ~at_root:() ~split:(fun _ v -> v) ~at_leaf:(fun _ _ -> ());
+  Ktree.sweep_down tree ~at_root:() ~split:(fun _ v -> v) ~at_leaf:(fun _ _ _ -> ());
   check Alcotest.int "sweep_down = n_nodes - 1" edges (Ktree.messages tree)
 
 let test_refresh_stable_ring_costs_heartbeats () =
@@ -235,6 +254,205 @@ let prop_k8_consistent =
       let tree = Ktree.build ~k:8 dht in
       Result.is_ok (Ktree.check_consistent tree dht))
 
+(* ---- agreement with the pointer reference ----------------------------- *)
+
+(* The stored pointer tree this module replaced, kept as a reference:
+   both trees follow one random ring history side by side, and after
+   every step everything they expose must agree. *)
+module Ref = Ktree_reference
+
+let node_string ~start ~len ~depth ~host ~leaf =
+  Printf.sprintf "%d+%d d%d h%d%s" start len depth host
+    (if leaf then " leaf" else "")
+
+let ref_shape r =
+  List.rev
+    (Ref.fold_nodes r ~init:[] ~f:(fun acc n ->
+         node_string ~start:(Region.start n.Ref.region)
+           ~len:(Region.len n.Ref.region) ~depth:n.Ref.depth ~host:n.Ref.host
+           ~leaf:(Ref.is_leaf n)
+         :: acc))
+
+let imp_shape t =
+  List.rev
+    (Ktree.fold_nodes t ~init:[] ~f:(fun acc n ->
+         node_string ~start:(Region.start n.Ktree.region)
+           ~len:(Region.len n.Ktree.region) ~depth:n.Ktree.depth
+           ~host:n.Ktree.host ~leaf:n.Ktree.leaf
+         :: acc))
+
+(* Sweep results: the up-sweep's nested term, then the down-sweep's
+   leaf values, each leaf marked [*] when it is its host's designated
+   leaf. *)
+let star designated = if designated then "*" else ""
+
+let ref_sweeps r =
+  ignore (Ref.leaf_assignment r);
+  let up =
+    Ref.sweep_up r
+      ~at_leaf:(fun l ->
+        Printf.sprintf "%d%s" l.Ref.depth (star (Ref.leaf_slot l >= 0)))
+      ~combine:(fun n cs ->
+        Printf.sprintf "%d(%s)" n.Ref.depth (String.concat " " cs))
+  in
+  let down = ref [] in
+  Ref.sweep_down r ~at_root:1
+    ~split:(fun n v -> ((v * 7) + n.Ref.depth) land 0xffffff)
+    ~at_leaf:(fun l v ->
+      let mark = star (Ref.leaf_slot l >= 0) in
+      down := Printf.sprintf "%d%s=%d" l.Ref.depth mark v :: !down);
+  (up, List.rev !down)
+
+(* The implicit tree's slots must also name the leaf's host. *)
+let imp_sweeps t =
+  let leaf_hosts =
+    ref
+      (List.rev
+         (Ktree.fold_nodes t ~init:[] ~f:(fun acc n ->
+              if n.Ktree.leaf then n.Ktree.host :: acc else acc)))
+  in
+  let designated slot =
+    match !leaf_hosts with
+    | [] -> Alcotest.fail "more leaves swept than folded"
+    | host :: rest ->
+      leaf_hosts := rest;
+      if slot >= 0 then
+        check Alcotest.int "slot is the host's" (Ktree.slot_of_vs t host) slot;
+      slot >= 0
+  in
+  let up =
+    Ktree.sweep_up t
+      ~at_leaf:(fun slot d -> Printf.sprintf "%d%s" d (star (designated slot)))
+      ~combine:(fun d cs -> Printf.sprintf "%d(%s)" d (String.concat " " cs))
+  in
+  let down = ref [] in
+  Ktree.sweep_down t ~at_root:1
+    ~split:(fun d v -> ((v * 7) + d) land 0xffffff)
+    ~at_leaf:(fun slot d v ->
+      down := Printf.sprintf "%d%s=%d" d (star (slot >= 0)) v :: !down);
+  (up, List.rev !down)
+
+let agree ~what r t dht (r_obs, t_obs) =
+  let ctx s = Printf.sprintf "%s: %s" what s in
+  let int name a b = check Alcotest.int (ctx name) a b in
+  int "n_nodes" (Ref.n_nodes r) (Ktree.n_nodes t);
+  int "depth" (Ref.depth r) (Ktree.depth t);
+  check shape_t (ctx "shape") (ref_shape r) (imp_shape t);
+  let table = Ref.leaf_assignment r in
+  let ids =
+    List.sort_uniq Int.compare
+      (Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v.Dht.vs_id :: acc)
+      @ Ref.fold_nodes r ~init:[] ~f:(fun acc n -> n.Ref.host :: acc))
+  in
+  List.iter
+    (fun id ->
+      check Alcotest.bool (ctx "VS has a designated leaf")
+        (Hashtbl.mem table id)
+        (Ktree.slot_of_vs t id >= 0);
+      int "hosted"
+        (Ref.fold_nodes r ~init:0 ~f:(fun c n ->
+             if n.Ref.host = id then c + 1 else c))
+        (Ktree.hosted t id))
+    ids;
+  let (r_up, r_down) = ref_sweeps r and (t_up, t_down) = imp_sweeps t in
+  check Alcotest.string (ctx "sweep_up") r_up t_up;
+  check Alcotest.(list string) (ctx "sweep_down") r_down t_down;
+  int "messages" (Ref.messages r) (Ktree.messages t);
+  int "rounds_last_sweep" (Ref.rounds_last_sweep r) (Ktree.rounds_last_sweep t);
+  int "repairs" (Ref.repairs r) (Ktree.repairs t);
+  int "repair_messages" (Ref.repair_messages r) (Ktree.repair_messages t);
+  check Alcotest.string (ctx "kt trace")
+    (P2plb_obs.Trace.to_jsonl (P2plb_obs.Obs.trace r_obs))
+    (P2plb_obs.Trace.to_jsonl (P2plb_obs.Obs.trace t_obs))
+
+(* One random history: ring steps (join, crash, VS transfer) mixed with
+   tree steps (build, repair, refresh), both trees checked after each,
+   and the check runs both sweeps, so sweeps also see stale trees.  A
+   tree step runs on the reference first, then on the implicit tree, and
+   each must spend the same DHT lookups and hops. *)
+let agreement_run ~route_messages ~k seed =
+  let rng = Prng.create ~seed in
+  let nodes = 1 + Prng.int rng 20 in
+  let dht = build_dht ~seed ~nodes ~vs:(1 + Prng.int rng 4) in
+  let obs = (P2plb_obs.Obs.create (), P2plb_obs.Obs.create ()) in
+  let r = ref (Ref.build ~route_messages ~k dht)
+  and t = ref (Ktree.build ~route_messages ~k dht) in
+  Ref.set_obs !r (fst obs);
+  Ktree.set_obs !t (snd obs);
+  let both name fr ft =
+    let cost f =
+      let l0 = Dht.lookups_performed dht and h0 = Dht.hops_used dht in
+      let x = f () in
+      (x, Dht.lookups_performed dht - l0, Dht.hops_used dht - h0)
+    in
+    let xr, lr, hr = cost fr in
+    let xt, lt, ht = cost ft in
+    check Alcotest.int (name ^ " result") xr xt;
+    check Alcotest.int (name ^ " lookups") lr lt;
+    check Alcotest.int (name ^ " hops") hr ht
+  in
+  for step = 1 to 30 do
+    let what =
+      match Prng.int rng 7 with
+      | 0 ->
+        let n_vs = 1 + Prng.int rng 3 in
+        ignore (Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs);
+        "join"
+      | 1 ->
+        let victims =
+          List.filter
+            (fun n -> List.length n.Dht.vss < Dht.n_vs dht)
+            (Dht.alive_nodes dht)
+        in
+        if victims <> [] then
+          Dht.crash dht (Prng.choose rng (Array.of_list victims)).Dht.node_id;
+        "crash"
+      | 2 ->
+        let vss =
+          Array.of_list (Dht.fold_vs dht ~init:[] ~f:(fun a v -> v :: a))
+        in
+        let alive = Array.of_list (Dht.alive_nodes dht) in
+        Dht.transfer_vs dht
+          ~vs_id:(Prng.choose rng vss).Dht.vs_id
+          ~to_node:(Prng.choose rng alive).Dht.node_id;
+        "transfer"
+      | 3 ->
+        both "build"
+          (fun () ->
+            r := Ref.build ~route_messages ~k dht;
+            Ref.set_obs !r (fst obs);
+            0)
+          (fun () ->
+            t := Ktree.build ~route_messages ~k dht;
+            Ktree.set_obs !t (snd obs);
+            0);
+        "build"
+      | 4 | 5 ->
+        both "repair"
+          (fun () -> Ref.repair ~route_messages !r dht)
+          (fun () -> Ktree.repair ~route_messages !t dht);
+        "repair"
+      | _ ->
+        both "refresh"
+          (fun () -> Ref.refresh !r dht; 0)
+          (fun () -> Ktree.refresh !t dht; 0);
+        "refresh"
+    in
+    agree ~what:(Printf.sprintf "seed %d k=%d step %d (%s)" seed k step what)
+      !r !t dht obs
+  done;
+  true
+
+let prop_agrees_with_reference ~route_messages =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "agrees with the pointer reference (route_messages %b)"
+         route_messages)
+    ~count:12
+    QCheck.(pair small_int (int_range 0 2))
+    (fun (seed, ki) ->
+      agreement_run ~route_messages ~k:[| 2; 3; 8 |].(ki) seed)
+
 let () =
   Alcotest.run "ktree"
     [
@@ -281,6 +499,10 @@ let () =
             test_refresh_after_crashes_matches_fresh_build;
         ] );
       ( "properties",
-        [ qtest prop_tree_consistent_for_any_ring; qtest prop_k8_consistent ]
-      );
+        [
+          qtest prop_tree_consistent_for_any_ring;
+          qtest prop_k8_consistent;
+          qtest (prop_agrees_with_reference ~route_messages:false);
+          qtest (prop_agrees_with_reference ~route_messages:true);
+        ] );
     ]
