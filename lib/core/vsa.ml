@@ -2,6 +2,7 @@ module Prng = P2plb_prng.Prng
 module Id = P2plb_idspace.Id
 module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
+module Leaf_reports = P2plb_ktree.Leaf_reports
 module Landmark = P2plb_landmark.Landmark
 module Hilbert = P2plb_hilbert.Hilbert
 module Faults = P2plb_sim.Faults
@@ -109,28 +110,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let n_heavy = ref 0 and n_light = ref 0 and n_neutral = ref 0 in
   let publish_hops = ref 0 in
   let shed_offered = ref 0 and load_offered = ref 0.0 in
-  (* Arrival-ordered (leaf slot, record) reports, grouped per leaf by a
-     single stable counting sort below — replaces the per-leaf
-     Hashtbl of reverse-arrival lists. *)
-  let rep_cap = ref 0 in
-  let n_reports = ref 0 and n_slots = ref 0 in
-  let rep_slot = ref [||] in
-  let rep_rec = ref ([||] : Types.vsa_record array) in
-  let push_report slot r =
-    if !n_reports = !rep_cap then begin
-      let cap = if !rep_cap = 0 then 1024 else 2 * !rep_cap in
-      let slots = Array.make cap 0 and recs = Array.make cap r in
-      Array.blit !rep_slot 0 slots 0 !n_reports;
-      Array.blit !rep_rec 0 recs 0 !n_reports;
-      rep_cap := cap;
-      rep_slot := slots;
-      rep_rec := recs
-    end;
-    !rep_slot.(!n_reports) <- slot;
-    !rep_rec.(!n_reports) <- r;
-    incr n_reports;
-    n_slots := Int.max !n_slots (slot + 1)
-  in
+  let reports = Leaf_reports.buffer () in
   let slot_of_vs = Ktree.slot_of_vs tree in
   (* Classify every node, collect its records and route each to a KT
      leaf according to the mode — one fused pass in alive-node order
@@ -152,7 +132,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
       | None -> incr records_lost
       | Some _ ->
         let slot = slot_of_vs v.Dht.vs_id in
-        if slot >= 0 then push_report slot r)
+        if slot >= 0 then Leaf_reports.push reports slot r)
     | Aware { space; order; curve; binning } -> (
       let key =
         Landmark.dht_key ~curve ~binning ~failed space ~order n.Dht.underlay
@@ -190,34 +170,11 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
         if slot >= 0 then begin
           let region = Dht.region_of_vs dht v in
           List.iter
-            (fun (_, r) -> push_report slot r)
+            (fun (_, r) -> Leaf_reports.push reports slot r)
             (Dht.items_in_region dht region)
         end);
     Dht.clear_items dht);
-  (* Group the reports per leaf slot: counts, prefix sums, then a stable
-     scatter, so each slot's slice keeps arrival order. *)
-  let n_slots = !n_slots in
-  let starts = Array.make (n_slots + 1) 0 in
-  for i = 0 to !n_reports - 1 do
-    let s = !rep_slot.(i) in
-    starts.(s + 1) <- starts.(s + 1) + 1
-  done;
-  for s = 1 to n_slots do
-    starts.(s) <- starts.(s) + starts.(s - 1)
-  done;
-  let grouped =
-    if !n_reports = 0 then [||]
-    else begin
-      let g = Array.make !n_reports !rep_rec.(0) in
-      let cursor = Array.copy starts in
-      for i = 0 to !n_reports - 1 do
-        let s = !rep_slot.(i) in
-        g.(cursor.(s)) <- !rep_rec.(i);
-        cursor.(s) <- cursor.(s) + 1
-      done;
-      g
-    end
-  in
+  let grouped = Leaf_reports.group reports in
   (* Scratch buffers for the per-leaf freshness partition, reused by
      every leaf of the sweep (grown on demand, filled with the pushed
      element so no dummy values are needed). *)
@@ -245,17 +202,17 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     !light_scratch.(!light_n) <- l;
     incr light_n
   in
-  let fresh_pool_slice lo hi =
+  let add_if_fresh r =
+    if record_fresh dht r then
+      match r with
+      | Types.Shed s -> push_shed s
+      | Types.Light l -> push_light l
+    else incr stale_dropped
+  in
+  let fresh_pool slot =
     shed_n := 0;
     light_n := 0;
-    for i = lo to hi - 1 do
-      let r = grouped.(i) in
-      if record_fresh dht r then
-        match r with
-        | Types.Shed s -> push_shed s
-        | Types.Light l -> push_light l
-      else incr stale_dropped
-    done;
+    Leaf_reports.iter grouped slot add_if_fresh;
     Pairing.of_slices !shed_scratch !shed_n !light_scratch !light_n
   in
   (* Bottom-up rendezvous sweep. *)
@@ -279,16 +236,11 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let root_pool =
     Ktree.sweep_up tree
       ~at_leaf:(fun slot depth ->
-        if slot < 0 || slot >= n_slots then Pairing.empty
+        if Leaf_reports.size grouped slot = 0 then Pairing.empty
         else begin
-          let lo = starts.(slot) and hi = starts.(slot + 1) in
-          if lo = hi then Pairing.empty
-          else begin
-            let pool = fresh_pool_slice lo hi in
-            if Pairing.size pool >= threshold then
-              pair_here depth pool
-            else pool
-          end
+          let pool = fresh_pool slot in
+          if Pairing.size pool >= threshold then pair_here depth pool
+          else pool
         end)
       ~combine:(fun depth children ->
         let pool = List.fold_left Pairing.merge Pairing.empty children in
