@@ -60,8 +60,7 @@ let () =
   Printf.printf
     "\nload-weighted mean transfer distance: aware %.2f hops, ignorant %.2f \
      hops\n"
-    (P2plb.Vst.mean_transfer_distance aware.Controller.vst)
-    (P2plb.Vst.mean_transfer_distance ignorant.Controller.vst);
+    (Histogram.mean h_aware) (Histogram.mean h_ignorant);
   print_newline ();
   let cdf h = List.map (fun (b, f) -> (float_of_int b, f)) (Histogram.to_cdf h) in
   print_string

@@ -11,7 +11,6 @@ type config = {
   topology : Transit_stub.params;
   workload : Workload.config;
   landmark_m : int;
-  landmark_spread : bool;
 }
 
 let default =
@@ -21,7 +20,6 @@ let default =
     topology = Transit_stub.ts5k_large;
     workload = Workload.default_gaussian;
     landmark_m = 15;
-    landmark_spread = false;
   }
 
 type t = {
@@ -78,12 +76,8 @@ let build ?base ~seed config =
     | Some space -> space
     | None ->
       let landmarks =
-        if config.landmark_spread then
-          Landmark.select_spread landmark_rng topo.Transit_stub.latency_graph
-            ~m:config.landmark_m
-        else
-          Landmark.select_random landmark_rng topo.Transit_stub.latency_graph
-            ~m:config.landmark_m
+        Landmark.select_random landmark_rng topo.Transit_stub.latency_graph
+          ~m:config.landmark_m
       in
       Landmark.make_space topo.Transit_stub.latency_graph ~landmarks
   in
@@ -108,9 +102,6 @@ let crash_nodes t n =
       let victim = arr.(Prng.int t.rng (Array.length arr)) in
       Dht.crash t.dht victim.Dht.node_id
   done
-
-let reassign_loads t =
-  Workload.assign_loads (Prng.split t.rng) t.config.workload t.dht
 
 let unit_loads t =
   Array.of_list

@@ -15,8 +15,6 @@ type config = {
   topology : Transit_stub.params;
   workload : Workload.config;
   landmark_m : int;  (** landmark nodes; paper: 15 *)
-  landmark_spread : bool;
-      (** farthest-point landmark selection instead of uniform *)
 }
 
 val default : config
@@ -56,10 +54,6 @@ val join_nodes : t -> int -> unit
 val crash_nodes : t -> int -> unit
 (** Churn: fail-stop [n] random alive nodes (at least one node always
     survives). *)
-
-val reassign_loads : t -> unit
-(** Redraws all VS loads from the workload config (fresh experiment on
-    the same network). *)
 
 val unit_loads : t -> float array
 (** Load per capacity for each alive node, in node-id order — the

@@ -16,32 +16,6 @@ let select_random rng g ~m =
   if m < 1 then invalid_arg "Landmark.select_random: m < 1";
   Prng.sample_distinct rng ~n:m ~universe:(Graph.n_vertices g)
 
-let select_spread rng g ~m =
-  if m < 1 then invalid_arg "Landmark.select_spread: m < 1";
-  let n = Graph.n_vertices g in
-  if m > n then invalid_arg "Landmark.select_spread: m > vertices";
-  let chosen = Array.make m 0 in
-  chosen.(0) <- Prng.int rng n;
-  (* min distance from each vertex to the chosen set so far *)
-  let min_dist = Graph.dijkstra g ~src:chosen.(0) in
-  let min_dist = Array.copy min_dist in
-  for i = 1 to m - 1 do
-    (* Farthest vertex from the current set (ignoring unreachable). *)
-    let best = ref 0 and best_d = ref (-1) in
-    Array.iteri
-      (fun v d ->
-        if d <> max_int && d > !best_d && not (Array.exists (Int.equal v) (Array.sub chosen 0 i))
-        then begin
-          best := v;
-          best_d := d
-        end)
-      min_dist;
-    chosen.(i) <- !best;
-    let d_new = Graph.dijkstra g ~src:!best in
-    Array.iteri (fun v d -> if d < min_dist.(v) then min_dist.(v) <- d) d_new
-  done;
-  chosen
-
 let make_space g ~landmarks =
   if Array.length landmarks = 0 then invalid_arg "Landmark.make_space: no landmarks";
   let dists = Array.map (fun l -> Graph.dijkstra g ~src:l) landmarks in

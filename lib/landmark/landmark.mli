@@ -22,11 +22,6 @@ type space
 val select_random : Prng.t -> Graph.t -> m:int -> int array
 (** [m] distinct landmark vertices chosen uniformly. *)
 
-val select_spread : Prng.t -> Graph.t -> m:int -> int array
-(** Farthest-point heuristic: a random first landmark, then each next
-    landmark maximises its distance to those already chosen.  Gives
-    better-conditioned landmark spaces on clustered topologies. *)
-
 val make_space : Graph.t -> landmarks:int array -> space
 (** Runs one Dijkstra per landmark. *)
 

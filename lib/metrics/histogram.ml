@@ -70,6 +70,16 @@ let bins t =
   done;
   !out
 
+let mean t =
+  if t.sum <= 0.0 then 0.0
+  else begin
+    let acc = ref 0.0 in
+    for i = 0 to t.hi do
+      if t.w.(i) > 0.0 then acc := !acc +. (float_of_int i *. t.w.(i))
+    done;
+    !acc /. t.sum
+  end
+
 let to_fractions t = List.map (fun (b, w) -> (b, w /. t.sum)) (bins t)
 
 let to_cdf t =

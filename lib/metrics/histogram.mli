@@ -36,6 +36,10 @@ val percentile_bin : t -> float -> int
     [percentile_bin t 100.0] bracket the support of a non-empty
     histogram. *)
 
+val mean : t -> float
+(** Weight-averaged bin — for a transfer-distance histogram, the
+    load-weighted mean hop distance.  0 when the histogram is empty. *)
+
 val bins : t -> (int * float) list
 (** Non-empty bins in increasing order with their weights. *)
 

@@ -77,24 +77,12 @@ let run_seed ?obs ~n_nodes ~max_rounds ~seed () =
   let dht = s.Scenario.dht in
   let total = Dht.total_load dht in
   let faults = Faults.create ~seed config in
-  (* Per-round soak check: full invariant battery plus VS conservation
-     against the running snapshot.  The crash budget for the round is
-     the fault plan's scheduled + mid-transfer crashes fired since the
-     previous snapshot (each kills exactly one node). *)
-  let snapshot = ref (Invariants.vs_snapshot dht) in
-  let crashes_seen = ref 0 in
-  let check (_ : Multiround.round) =
-    let fired = Faults.crashes faults + Faults.transfer_crashes faults in
-    let delta = fired - !crashes_seen in
-    let res =
-      Invariants.all ~expected_total:total ~vs_before:!snapshot ~crashes:delta
-        dht
-    in
-    crashes_seen := fired;
-    snapshot := Invariants.vs_snapshot dht;
-    res
+  (* Per-round soak check: full invariant battery plus crash-budgeted
+     VS conservation against the previous round. *)
+  let check = Invariants.round_check ~faults ~expected_total:total dht in
+  let r =
+    Multiround.run ~faults ?obs ~max_rounds ~check:(fun _ -> check ()) s
   in
-  let r = Multiround.run ~faults ?obs ~max_rounds ~check s in
   (* Final imbalance, survivors only: max unit load over the fair
      share, the paper's convergence criterion (Timeseries tracks the
      same figure per round when an obs bundle is attached). *)

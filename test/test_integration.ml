@@ -97,7 +97,7 @@ let test_aware_moves_closer_than_ignorant () =
     let s = build 8 in
     let cc = { Controller.default with Controller.proximity } in
     let o = Controller.run ~config:cc s in
-    Vst.mean_transfer_distance o.Controller.vst
+    Histogram.mean o.Controller.vst.Vst.hist
   in
   let aware = run true and ignorant = run false in
   check Alcotest.bool

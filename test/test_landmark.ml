@@ -26,20 +26,6 @@ let test_select_random_distinct () =
       Hashtbl.add tbl l ())
     lms
 
-let test_select_spread_spreads () =
-  let g = line_graph 100 in
-  let rng = Prng.create ~seed:2 in
-  let lms = Landmark.select_spread rng g ~m:3 in
-  (* farthest-point keeps landmarks pairwise far apart on a line *)
-  let min_gap = ref max_int in
-  Array.iteri
-    (fun i a ->
-      Array.iteri
-        (fun j b -> if i < j then min_gap := Int.min !min_gap (abs (a - b)))
-        lms)
-    lms;
-  check Alcotest.bool "pairwise separated" true (!min_gap >= 20)
-
 let test_vector_matches_dijkstra () =
   let g = line_graph 20 in
   let sp = Landmark.make_space g ~landmarks:[| 0; 19 |] in
@@ -153,7 +139,6 @@ let () =
         [
           Alcotest.test_case "random distinct" `Quick
             test_select_random_distinct;
-          Alcotest.test_case "spread" `Quick test_select_spread_spreads;
         ] );
       ( "vectors",
         [

@@ -643,6 +643,46 @@ let test_obs_bundle () =
     "registry reachable" (Some 1)
     (Registry.find_counter (Obs.metrics o) "c")
 
+(* ---- trace-summary input failures ---------------------------------------
+   `lb_sim trace-summary` (and trace-analyze) fail through
+   Trace.load_jsonl; these pin the loader's contract so the CLI's
+   exit-1 paths have something concrete to stand on. *)
+
+let test_load_jsonl_missing_file () =
+  match Trace.load_jsonl "no-such-trace.jsonl" with
+  | Ok _ -> Alcotest.fail "missing file accepted"
+  | Error e ->
+    check Alcotest.bool
+      (Printf.sprintf "diagnostic is non-empty (%S)" e)
+      true
+      (String.length e > 0)
+
+let test_load_jsonl_truncated_file () =
+  (* emit a real trace, then chop the final line mid-object — the
+     write died half way.  The loader must reject it with a
+     line-numbered diagnostic, not silently return a prefix. *)
+  let t = Trace.create () in
+  let sp = Trace.begin_span t "phase/vst" in
+  Trace.point t "vst/transfer" ~attrs:[ ("hops", Trace.Int 2) ];
+  Trace.end_span t sp;
+  let full = Trace.to_jsonl t in
+  let truncated = String.sub full 0 (String.length full - 12) in
+  let path = "truncated-trace.jsonl" in
+  let oc = open_out path in
+  output_string oc truncated;
+  close_out oc;
+  match Trace.load_jsonl path with
+  | Ok _ -> Alcotest.fail "truncated trace accepted"
+  | Error e ->
+    let mentions_line =
+      let n = String.length e in
+      let rec go i = i + 4 <= n && (String.equal (String.sub e i 4) "line" || go (i + 1)) in
+      go 0
+    in
+    check Alcotest.bool
+      (Printf.sprintf "diagnostic names the line (%S)" e)
+      true mentions_line
+
 let () =
   Alcotest.run "obs"
     [
@@ -722,4 +762,11 @@ let () =
             test_summary_render_mentions_everything;
         ] );
       ("bundle", [ Alcotest.test_case "obs bundle" `Quick test_obs_bundle ]);
+      ( "loader",
+        [
+          Alcotest.test_case "missing file rejected" `Quick
+            test_load_jsonl_missing_file;
+          Alcotest.test_case "truncated file rejected" `Quick
+            test_load_jsonl_truncated_file;
+        ] );
     ]

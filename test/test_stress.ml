@@ -1,12 +1,12 @@
 (* Randomised whole-system stress properties: arbitrary interleavings
-   of churn, trace-driven storage and balancing rounds must preserve
+   of churn, object-store traffic and balancing rounds must preserve
    every global invariant. *)
 
 module TS = P2plb_topology.Transit_stub
 module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
 module Store = P2plb_chord.Store
-module Trace = P2plb_workload.Trace
+module Id = P2plb_idspace.Id
 module Scenario = P2plb.Scenario
 module Invariants = P2plb.Invariants
 module Prng = P2plb_prng.Prng
@@ -110,11 +110,23 @@ let prop_trace_store_load_coherence =
       let s = build seed 64 in
       let dht = s.Scenario.dht in
       let store = Store.create ~replication:2 () in
-      let tr = Trace.create ~seed:(seed + 2) Trace.default in
+      (* A synthetic object trace: each epoch inserts a batch of objects
+         at random keys and deletes one earlier key. *)
+      let rng = Prng.create ~seed:(seed + 2) in
+      let keys = ref [] and live = ref 0 in
       let ok = ref true in
       for _ = 1 to 4 do
-        ignore (Trace.epoch tr dht store);
-        if Trace.live_objects tr <> Store.n_objects store then ok := false;
+        for _ = 1 to 50 do
+          let key = Id.of_int (Prng.int rng Id.space_size) in
+          Store.insert store dht ~key ~size:(Prng.float rng 8.0);
+          keys := key :: !keys;
+          incr live
+        done;
+        let victim = List.nth !keys (Prng.int rng (List.length !keys)) in
+        live := !live - Store.remove store ~key:victim;
+        keys := List.filter (fun k -> not (Id.equal k victim)) !keys;
+        Store.apply_primary_loads store dht;
+        if !live <> Store.n_objects store then ok := false;
         if abs_float (Dht.total_load dht -. Store.total_bytes store) > 1e-6
         then ok := false;
         ignore (P2plb.Controller.run s);
