@@ -274,7 +274,6 @@ let test_duplicate_dedup_conserves_vs () =
       (Faults.churn ~crash_fraction:0.0 ~message_loss:0.0 ~duplicate_prob:0.9
          ())
   in
-  check Alcotest.bool "protocol engaged" true (Faults.transfer_protocol faults);
   let o = Controller.run ~faults s in
   let v = o.Controller.vst in
   check Alcotest.bool "transfers committed" true (v.Vst.transfers > 0);
@@ -285,6 +284,32 @@ let test_duplicate_dedup_conserves_vs () =
   match Invariants.all ~expected_total:total ~vs_before:before ~crashes:0 dht with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("VS conservation under duplication: " ^ e)
+
+(* Message loss alone puts VST on the lossy network: with one attempt
+   per message, PREPAREs and COMMITs time out and abort (a lost COMMIT
+   rolling its VS back) while no VS is lost or duplicated. *)
+let test_loss_aborts_transfers () =
+  let s = Scenario.build ~seed:19 (small_config 256) in
+  let dht = s.Scenario.dht in
+  let before = Invariants.vs_snapshot dht in
+  let total = Dht.total_load dht in
+  let faults =
+    Faults.create ~seed:19
+      {
+        (Faults.churn ~crash_fraction:0.0 ~message_loss:0.6 ()) with
+        Faults.max_attempts = 1;
+      }
+  in
+  let o = Controller.run ~faults s in
+  let v = o.Controller.vst in
+  check Alcotest.bool "lost PREPAREs or COMMITs aborted transfers" true
+    (v.Vst.aborted_prepare_lost + v.Vst.aborted_commit_lost > 0);
+  check Alcotest.int "no other abort cause" 0
+    (v.Vst.aborted_partitioned + v.Vst.aborted_src_crashed
+   + v.Vst.aborted_dest_crashed);
+  match Invariants.all ~expected_total:total ~vs_before:before ~crashes:0 dht with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("VS conservation under message loss: " ^ e)
 
 (* Mid-transfer crash windows on nearly every transaction: aborts are
    attributed per cause, rollbacks leave every surviving VS exactly
@@ -334,17 +359,17 @@ let pin label expected_trace expected_metrics f =
     (Registry.digest (Obs.metrics obs))
 
 let test_no_perturbation_digest_pins () =
-  pin "zero-fault" "55f4728e2d119939fe5ad7897a9b4d98"
-    "abdc625103ab3a004804ee9b24645fab" (fun obs ->
+  pin "zero-fault" "310aa2f48374f573228194d2ce406933"
+    "efd113e67dc2fa32eb8e0129596d719b" (fun obs ->
       let s = Scenario.build ~seed:3 (small_config 128) in
       ignore (Multiround.run ~obs ~max_rounds:3 s));
-  pin "zero-config plan attached" "55f4728e2d119939fe5ad7897a9b4d98"
-    "abdc625103ab3a004804ee9b24645fab" (fun obs ->
+  pin "zero-config plan attached" "310aa2f48374f573228194d2ce406933"
+    "efd113e67dc2fa32eb8e0129596d719b" (fun obs ->
       let s = Scenario.build ~seed:3 (small_config 128) in
       let faults = Faults.create ~seed:5 Faults.none in
       ignore (Multiround.run ~faults ~obs ~max_rounds:3 s));
-  pin "legacy churn plan" "07b0ca9b7195d1f504efc574334574b9"
-    "d060df29c106a5622979be0af9a50928" (fun obs ->
+  pin "loss-only churn plan" "55714c8108e8a387226ec5be0479e704"
+    "2d7227eca764b07a1cb535118659bb57" (fun obs ->
       let s = Scenario.build ~seed:11 (small_config 128) in
       let faults =
         Faults.create ~seed:11 (Faults.churn ~message_loss:0.02 ())
@@ -381,6 +406,8 @@ let () =
             test_duplicate_dedup_conserves_vs;
           Alcotest.test_case "window crashes roll back cleanly" `Quick
             test_transfer_crash_rollback;
+          Alcotest.test_case "message loss aborts transfers" `Quick
+            test_loss_aborts_transfers;
           Alcotest.test_case "zero-config digests pinned" `Quick
             test_no_perturbation_digest_pins;
         ] );
