@@ -17,10 +17,10 @@ module Faults = P2plb_sim.Faults
     rendezvous, and unapplicable transfers are skipped per cause —
     the round always completes on whatever nodes remain alive.
 
-    Plans carrying transfer-path faults (partitions, duplication,
-    mid-transfer crash windows) additionally run phase 4 as the
-    transactional protocol of {!Vst}: transfers abort per cause rather
-    than half-applying, and the ["phase/vst"] span gains [aborted] and
+    Phase 4 runs every transfer as the transactional protocol of
+    {!Vst}, so under message loss, partitions, duplication or
+    mid-transfer crash windows transfers abort per cause rather than
+    half-applying; the ["phase/vst"] span always carries [aborted] and
     [deduped] attributes. *)
 
 type config = {

@@ -160,8 +160,8 @@ val resilience :
     crashes firing {e at the phase barriers inside} each round plus
     per-message loss, swept over churn rates (0%..30% crashes,
     0%..5% loss), then over transfer-path faults (duplication,
-    mid-transfer crash windows, partition episodes) that engage the
-    transactional VST protocol.  The all-zero row doubles as the
+    mid-transfer crash windows, partition episodes) that exercise the
+    VST protocol's abort and dedup paths.  The all-zero row doubles as the
     zero-perturbation control: it must match the fault-free numbers
     exactly. *)
 

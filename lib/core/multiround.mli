@@ -12,7 +12,7 @@ module Faults = P2plb_sim.Faults
     plan's node crashes and partition episodes are armed on a
     simulated clock spanning all rounds and fire at the phase barriers
     inside each round, while message loss stresses the retry layer and
-    transfer-path faults exercise the transactional VST protocol.
+    transfer-path faults exercise the VST protocol's abort paths.
     Rounds then run on whatever nodes remain, and convergence is
     judged against the live population.
 
