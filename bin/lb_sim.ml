@@ -18,29 +18,37 @@ let seed_arg =
   let doc = "Random seed (experiments are deterministic in the seed)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Size and parallelism flags must be >= 1: a one-line message and
+   exit 2, not an uncaught exception from deep inside a run. *)
+let at_least_one flag v =
+  if v < 1 then begin
+    prerr_endline ("lb_sim: " ^ flag ^ " must be >= 1");
+    exit 2
+  end
+  else v
+
 let nodes_arg default =
   let doc = "Number of overlay (physical DHT) nodes." in
-  Arg.(value & opt int default & info [ "nodes"; "n" ] ~docv:"N" ~doc)
+  Term.(
+    const (at_least_one "--nodes")
+    $ Arg.(value & opt int default & info [ "nodes"; "n" ] ~docv:"N" ~doc))
 
 let graphs_arg =
   let doc = "Topology instances to aggregate (the paper uses 10)." in
-  Arg.(value & opt int 10 & info [ "graphs" ] ~docv:"G" ~doc)
+  Term.(
+    const (at_least_one "--graphs")
+    $ Arg.(value & opt int E.paper_graphs & info [ "graphs" ] ~docv:"G" ~doc))
 
-let jobs_arg =
+let pool_arg =
   let doc =
     "Run independent tasks (graph instances, sweep points, fault rows, \
      chaos seeds) on $(docv) domains.  Output — tables, traces, metrics, \
      time-series — is byte-identical for every job count; the default is \
      sequential."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let pool_of_jobs jobs =
-  if jobs < 1 then begin
-    prerr_endline "lb_sim: --jobs must be >= 1";
-    exit 2
-  end
-  else Par.create ~jobs
+  Term.(
+    const (fun jobs -> Par.create ~jobs:(at_least_one "--jobs" jobs))
+    $ Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc))
 
 let csv_arg =
   let doc =
@@ -113,76 +121,58 @@ let sinked f (trace_out, metrics_out, series_out) =
           series_out)
       (fun () -> f (Some obs))
 
-let dump_proximity_csv dir name (r : E.proximity_result) =
-  let module Csv = P2plb_metrics.Csv in
+let write_csv dir files =
   mkdir_p dir;
-  let write suffix h =
-    let path = Filename.concat dir (name ^ "_" ^ suffix ^ ".csv") in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Csv.of_histogram h));
-    Printf.eprintf "wrote %s\n" path
+  List.iter
+    (fun (name, contents) ->
+      let path = Filename.concat dir name in
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc contents);
+      Printf.eprintf "wrote %s\n" path)
+    files
+
+(* ---- the experiment catalogue -------------------------------------------
+
+   One subcommand per {!E.catalogue} entry, offering exactly the flags
+   the entry declares, and [all], which runs every entry in catalogue
+   order with one observability bundle threaded through. *)
+
+let args_term (e : E.entry) =
+  let nodes =
+    match e.E.size with
+    | E.Fixed -> Term.const 0
+    | E.Default n | E.Capped n -> nodes_arg n
   in
-  write "aware" r.E.aware;
-  write "ignorant" r.E.ignorant
+  let graphs = if e.E.takes_graphs then graphs_arg else Term.const 1 in
+  let pool = if e.E.takes_jobs then pool_arg else Term.const Par.sequential in
+  Term.(
+    const (fun seed nodes graphs pool -> { E.pool; obs = None; seed; nodes; graphs })
+    $ seed_arg $ nodes $ graphs $ pool)
 
-(* ---- experiments -------------------------------------------------------
+let run_entry (e : E.entry) args csv sinks =
+  sinked
+    (fun obs ->
+      let out = e.E.report { args with E.obs } in
+      print_string out.E.text;
+      Option.iter (fun dir -> write_csv dir out.E.csv) csv)
+    sinks
 
-   Each [do_*] body takes the optional observability bundle directly,
-   so [all] can thread a single bundle through every experiment; the
-   [run_*] wrappers bind the per-subcommand sink flags. *)
+let run_all seed graphs nodes pool sinks =
+  sinked
+    (fun obs ->
+      List.iteri
+        (fun i (e : E.entry) ->
+          if i > 0 then print_newline ();
+          print_string
+            (e.E.report
+               { E.pool; obs; seed; nodes = E.entry_nodes e nodes; graphs })
+              .E.text)
+        E.catalogue)
+    sinks
 
-let do_fig4 obs seed n_nodes =
-  print_string (E.render_fig4 (E.fig4 ?obs ~seed ~n_nodes ()))
-
-let do_fig5 obs seed n_nodes =
-  print_string
-    (E.render_capacity_alignment
-       ~title:"Figure 5 — load vs capacity after LB (Gaussian loads)"
-       (E.fig5 ?obs ~seed ~n_nodes ()))
-
-let do_fig6 obs seed n_nodes =
-  print_string
-    (E.render_capacity_alignment
-       ~title:"Figure 6 — load vs capacity after LB (Pareto loads)"
-       (E.fig6 ?obs ~seed ~n_nodes ()))
-
-let do_fig7 ~pool obs seed graphs n_nodes csv =
-  let r = E.fig7 ~pool ?obs ~seed ~graphs ~n_nodes () in
-  print_string
-    (E.render_proximity
-       ~title:
-         "Figure 7 — moved load vs transfer distance, ts5k-large\n\
-          (paper: aware 67% within 2 hops, 86% within 10; ignorant 13% \
-          within 10)"
-       r);
-  Option.iter (fun dir -> dump_proximity_csv dir "fig7" r) csv
-
-let do_fig8 ~pool obs seed graphs n_nodes csv =
-  let r = E.fig8 ~pool ?obs ~seed ~graphs ~n_nodes () in
-  print_string
-    (E.render_proximity
-       ~title:
-         "Figure 8 — moved load vs transfer distance, ts5k-small\n\
-          (paper: aware still clearly ahead of ignorant with nodes \
-          scattered Internet-wide)"
-       r);
-  Option.iter (fun dir -> dump_proximity_csv dir "fig8" r) csv
-
-let do_tvsa ~pool obs seed =
-  print_string
-    (E.render_tvsa
-       [ E.tvsa ~pool ?obs ~seed ~k:2 (); E.tvsa ~pool ?obs ~seed ~k:8 () ])
-
-let do_baselines ~pool obs seed n_nodes =
-  print_string (E.render_baselines (E.baselines ~pool ?obs ~seed ~n_nodes ()))
-
-let do_churn obs seed n_nodes =
-  print_string (E.render_churn (E.churn ?obs ~seed ~n_nodes ()))
-
-let do_resilience ~pool obs seed n_nodes =
-  print_string (E.render_resilience (E.resilience ~pool ?obs ~seed ~n_nodes ()))
+(* ---- bespoke commands ---------------------------------------------------- *)
 
 let do_verify obs seed n_nodes =
   let module Scenario = P2plb.Scenario in
@@ -225,9 +215,6 @@ let do_chaos ~pool obs base_seed seeds n_nodes max_rounds replay =
     print_string (Chaos.render r);
     if Chaos.failed r then exit 1
 
-let do_overhead ~pool obs seed =
-  print_string (E.render_overhead (E.overhead ~pool ?obs ~seed ()))
-
 let do_scale ~pool obs seed sizes rounds =
   let rows = E.scale_run ~pool ?obs ~seed ~sizes ~rounds () in
   print_string (E.render_scale rows);
@@ -248,143 +235,13 @@ let do_scale ~pool obs seed sizes rounds =
     failed;
   if not (List.is_empty failed) then exit 1
 
-let do_durability ~pool _obs seed n_nodes =
-  print_string (E.render_durability (E.durability ~pool ~seed ~n_nodes ()))
-
-let do_drift obs seed n_nodes =
-  print_string (E.render_load_drift (E.load_drift ?obs ~seed ~n_nodes ()))
-
-let do_ablations ~pool obs seed n_nodes =
-  print_string
-    (E.render_sweep
-       ~title:"Ablation — epsilon_rel (balance slack vs residual heavies)"
-       ~header:[ "epsilon_rel"; "heavy after"; "moved" ]
-       (List.map
-          (fun (e, h, m) ->
-            [
-              Printf.sprintf "%.2f" e;
-              string_of_int h;
-              Printf.sprintf "%.1f%%" (100.0 *. m);
-            ])
-          (E.ablation_epsilon ~pool ?obs ~seed ~n_nodes ())));
-  print_newline ();
-  print_string
-    (E.render_sweep ~title:"Ablation — rendezvous threshold"
-       ~header:[ "threshold"; "CDF@2"; "CDF@10" ]
-       (List.map
-          (fun (t, c2, c10) ->
-            [
-              string_of_int t;
-              Printf.sprintf "%.3f" c2;
-              Printf.sprintf "%.3f" c10;
-            ])
-          (E.ablation_threshold ~pool ?obs ~seed ~n_nodes ())));
-  print_newline ();
-  print_string
-    (E.render_sweep ~title:"Ablation — space-filling curve for VSA keys"
-       ~header:[ "curve"; "CDF@2"; "CDF@10" ]
-       (List.map
-          (fun (c, c2, c10) ->
-            [ c; Printf.sprintf "%.3f" c2; Printf.sprintf "%.3f" c10 ])
-          (E.ablation_curve ~pool ?obs ~seed ~n_nodes ())));
-  print_newline ();
-  print_string
-    (E.render_sweep ~title:"Ablation — K-nary tree degree"
-       ~header:[ "K"; "depth"; "KT nodes"; "messages" ]
-       (List.map
-          (fun (k, d, n, m) ->
-            [
-              string_of_int k;
-              string_of_int d;
-              string_of_int n;
-              string_of_int m;
-            ])
-          (E.ablation_k ~pool ?obs ~seed ~n_nodes ())));
-  print_newline ();
-  print_string
-    (E.render_sweep
-       ~title:"Ablation — landmark count vs per-axis key resolution"
-       ~header:[ "m"; "order"; "CDF@2"; "CDF@10" ]
-       (List.map
-          (fun (m, o, c2, c10) ->
-            [
-              string_of_int m;
-              string_of_int o;
-              Printf.sprintf "%.3f" c2;
-              Printf.sprintf "%.3f" c10;
-            ])
-          (E.ablation_landmarks ~pool ?obs ~seed ~n_nodes ())))
-
-let do_all ~pool obs seed graphs n_nodes =
-  do_fig4 obs seed n_nodes;
-  print_newline ();
-  do_fig5 obs seed n_nodes;
-  print_newline ();
-  do_fig6 obs seed n_nodes;
-  print_newline ();
-  do_fig7 ~pool obs seed graphs n_nodes None;
-  print_newline ();
-  do_fig8 ~pool obs seed graphs n_nodes None;
-  print_newline ();
-  do_tvsa ~pool obs seed;
-  print_newline ();
-  do_baselines ~pool obs seed n_nodes;
-  print_newline ();
-  do_churn obs seed (Int.min n_nodes 1024);
-  print_newline ();
-  do_resilience ~pool obs seed (Int.min n_nodes 1024);
-  print_newline ();
-  do_overhead ~pool obs seed;
-  print_newline ();
-  do_durability ~pool obs seed (Int.min n_nodes 512);
-  print_newline ();
-  do_drift obs seed (Int.min n_nodes 1024);
-  print_newline ();
-  do_ablations ~pool obs seed (Int.min n_nodes 2048)
-
-let run_fig4 seed n sinks = sinked (fun obs -> do_fig4 obs seed n) sinks
-let run_fig5 seed n sinks = sinked (fun obs -> do_fig5 obs seed n) sinks
-let run_fig6 seed n sinks = sinked (fun obs -> do_fig6 obs seed n) sinks
-
-let run_fig7 seed graphs n csv jobs sinks =
-  sinked (fun obs -> do_fig7 ~pool:(pool_of_jobs jobs) obs seed graphs n csv) sinks
-
-let run_fig8 seed graphs n csv jobs sinks =
-  sinked (fun obs -> do_fig8 ~pool:(pool_of_jobs jobs) obs seed graphs n csv) sinks
-
-let run_tvsa seed jobs sinks =
-  sinked (fun obs -> do_tvsa ~pool:(pool_of_jobs jobs) obs seed) sinks
-
-let run_baselines seed n jobs sinks =
-  sinked (fun obs -> do_baselines ~pool:(pool_of_jobs jobs) obs seed n) sinks
-
-let run_churn seed n sinks = sinked (fun obs -> do_churn obs seed n) sinks
-
-let run_resilience seed n jobs sinks =
-  sinked (fun obs -> do_resilience ~pool:(pool_of_jobs jobs) obs seed n) sinks
-
-let run_chaos seed seeds n rounds replay jobs sinks =
-  sinked
-    (fun obs -> do_chaos ~pool:(pool_of_jobs jobs) obs seed seeds n rounds replay)
-    sinks
+let run_chaos seed seeds n rounds replay pool sinks =
+  sinked (fun obs -> do_chaos ~pool obs seed seeds n rounds replay) sinks
 
 let run_verify seed n sinks = sinked (fun obs -> do_verify obs seed n) sinks
-let run_overhead seed jobs sinks =
-  sinked (fun obs -> do_overhead ~pool:(pool_of_jobs jobs) obs seed) sinks
 
-let run_scale seed sizes rounds jobs sinks =
-  sinked (fun obs -> do_scale ~pool:(pool_of_jobs jobs) obs seed sizes rounds) sinks
-
-let run_durability seed n jobs sinks =
-  sinked (fun obs -> do_durability ~pool:(pool_of_jobs jobs) obs seed n) sinks
-
-let run_drift seed n sinks = sinked (fun obs -> do_drift obs seed n) sinks
-
-let run_ablations seed n jobs sinks =
-  sinked (fun obs -> do_ablations ~pool:(pool_of_jobs jobs) obs seed n) sinks
-
-let run_all seed graphs n jobs sinks =
-  sinked (fun obs -> do_all ~pool:(pool_of_jobs jobs) obs seed graphs n) sinks
+let run_scale seed sizes rounds pool sinks =
+  sinked (fun obs -> do_scale ~pool obs seed sizes rounds) sinks
 
 (* ---- trace analytics ---------------------------------------------------- *)
 
@@ -453,46 +310,9 @@ let run_convergence seed n_nodes max_rounds epsilon_rel chaos_seed json
 
 let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 
-let fig4_cmd =
-  cmd "fig4" "Unit-load scatter before/after load balancing (Gaussian)."
-    Term.(const run_fig4 $ seed_arg $ nodes_arg 4096 $ sink_arg)
-
-let fig5_cmd =
-  cmd "fig5" "Load vs capacity category after LB (Gaussian)."
-    Term.(const run_fig5 $ seed_arg $ nodes_arg 4096 $ sink_arg)
-
-let fig6_cmd =
-  cmd "fig6" "Load vs capacity category after LB (Pareto)."
-    Term.(const run_fig6 $ seed_arg $ nodes_arg 4096 $ sink_arg)
-
-let fig7_cmd =
-  cmd "fig7" "Moved-load distance distribution and CDF on ts5k-large."
-    Term.(
-      const run_fig7 $ seed_arg $ graphs_arg $ nodes_arg 4096 $ csv_arg
-      $ jobs_arg $ sink_arg)
-
-let fig8_cmd =
-  cmd "fig8" "Moved-load distance distribution and CDF on ts5k-small."
-    Term.(
-      const run_fig8 $ seed_arg $ graphs_arg $ nodes_arg 4096 $ csv_arg
-      $ jobs_arg $ sink_arg)
-
-let tvsa_cmd =
-  cmd "tvsa" "VSA rounds vs network size for K = 2 and K = 8."
-    Term.(const run_tvsa $ seed_arg $ jobs_arg $ sink_arg)
-
-let baselines_cmd =
-  cmd "baselines" "Compare against CFS shedding and the Rao et al. schemes."
-    Term.(const run_baselines $ seed_arg $ nodes_arg 4096 $ jobs_arg $ sink_arg)
-
-let churn_cmd =
-  cmd "churn" "Self-repair: crash/join nodes, refresh the KT tree, rebalance."
-    Term.(const run_churn $ seed_arg $ nodes_arg 1024 $ sink_arg)
-
-let resilience_cmd =
-  cmd "resilience"
-    "Fault injection: mid-round crashes + message loss, KT repair, retries."
-    Term.(const run_resilience $ seed_arg $ nodes_arg 1024 $ jobs_arg $ sink_arg)
+let entry_cmd (e : E.entry) =
+  let csv = if e.E.takes_csv then csv_arg else Term.const None in
+  cmd e.E.name e.E.doc Term.(const (run_entry e) $ args_term e $ csv $ sink_arg)
 
 let chaos_cmd =
   let seeds_arg =
@@ -516,23 +336,11 @@ let chaos_cmd =
      non-zero naming the first failing seed."
     Term.(
       const run_chaos $ seed_arg $ seeds_arg $ nodes_arg 256 $ rounds_arg
-      $ replay_arg $ jobs_arg $ sink_arg)
-
-let durability_cmd =
-  cmd "durability" "Replicated-store availability and loss under churn."
-    Term.(const run_durability $ seed_arg $ nodes_arg 512 $ jobs_arg $ sink_arg)
-
-let drift_cmd =
-  cmd "drift" "Periodic balancing under load drift."
-    Term.(const run_drift $ seed_arg $ nodes_arg 1024 $ sink_arg)
+      $ replay_arg $ pool_arg $ sink_arg)
 
 let verify_cmd =
   cmd "verify" "Run whole-system invariant checks through LB and churn."
     Term.(const run_verify $ seed_arg $ nodes_arg 512 $ sink_arg)
-
-let overhead_cmd =
-  cmd "overhead" "Per-phase message cost of one LB round vs network size."
-    Term.(const run_overhead $ seed_arg $ jobs_arg $ sink_arg)
 
 let scale_cmd =
   let sizes_arg =
@@ -551,15 +359,13 @@ let scale_cmd =
     "Scale tier: run the balancer to convergence at 32k/65k/131k nodes \
      (distance accounting off — the hot paths, not the Dijkstra oracle, \
      are under test) and report rounds, residual heavies, moved load."
-    Term.(const run_scale $ seed_arg $ sizes_arg $ rounds_arg $ jobs_arg $ sink_arg)
-
-let ablations_cmd =
-  cmd "ablations" "Design-choice sweeps: epsilon, threshold, curve, K."
-    Term.(const run_ablations $ seed_arg $ nodes_arg 2048 $ jobs_arg $ sink_arg)
+    Term.(const run_scale $ seed_arg $ sizes_arg $ rounds_arg $ pool_arg $ sink_arg)
 
 let all_cmd =
   cmd "all" "Run every experiment in sequence."
-    Term.(const run_all $ seed_arg $ graphs_arg $ nodes_arg 4096 $ jobs_arg $ sink_arg)
+    Term.(
+      const run_all $ seed_arg $ graphs_arg $ nodes_arg E.paper_nodes $ pool_arg
+      $ sink_arg)
 
 let trace_summary_cmd =
   cmd "trace-summary"
@@ -618,7 +424,7 @@ let convergence_cmd =
      (max/avg utilization, Gini, overloaded fraction, cumulative moved load) \
      plus the convergence verdict."
     Term.(
-      const run_convergence $ seed_arg $ nodes_arg 4096 $ rounds_arg
+      const run_convergence $ seed_arg $ nodes_arg E.paper_nodes $ rounds_arg
       $ epsilon_arg $ chaos_arg $ json_arg $ series_out_arg)
 
 let () =
@@ -630,27 +436,15 @@ let () =
   in
   let group =
     Cmd.group info
-      [
-        fig4_cmd;
-        fig5_cmd;
-        fig6_cmd;
-        fig7_cmd;
-        fig8_cmd;
-        tvsa_cmd;
-        baselines_cmd;
-        churn_cmd;
-        resilience_cmd;
-        chaos_cmd;
-        durability_cmd;
-        drift_cmd;
-        overhead_cmd;
-        scale_cmd;
-        verify_cmd;
-        ablations_cmd;
-        all_cmd;
-        trace_summary_cmd;
-        trace_analyze_cmd;
-        convergence_cmd;
-      ]
+      (List.map entry_cmd E.catalogue
+      @ [
+          chaos_cmd;
+          scale_cmd;
+          verify_cmd;
+          all_cmd;
+          trace_summary_cmd;
+          trace_analyze_cmd;
+          convergence_cmd;
+        ])
   in
   exit (Cmd.eval group)

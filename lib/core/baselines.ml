@@ -30,7 +30,9 @@ let heavy_nodes ~lbi ~epsilon dht =
     (fun n -> Classify.classify_node ~lbi ~epsilon dht n = Types.Heavy)
     (Dht.alive_nodes dht)
 
-let count_heavy ~lbi ~epsilon dht = List.length (heavy_nodes ~lbi ~epsilon dht)
+let count_heavy ~lbi ~epsilon dht =
+  let heavy, _, _ = Classify.census ~lbi ~epsilon dht in
+  heavy
 
 type acc = {
   h : Histogram.t;
@@ -190,16 +192,9 @@ let rao_one_to_many ?(epsilon_rel = 0.05) ?(directory_size = 16) ~rng ~oracle
   let all = Array.of_list (Dht.alive_nodes dht) in
   Array.iter
     (fun h ->
-      let target =
-        Classify.target_load ~lbi ~epsilon ~capacity:h.Dht.capacity
-      in
-      let need = Dht.node_load h -. target in
-      if need > 0.0 then begin
-        let loads =
-          Array.of_list
-            (List.map (fun v -> (v.Dht.vs_id, v.Dht.load)) h.Dht.vss)
-        in
-        let shed = Excess.choose_shed ~keep_at_least:0 ~loads need in
+      match (Vsa.node_records ~epsilon ~lbi h : Types.vsa_record list) with
+      | [] | Light _ :: _ -> ()
+      | Shed _ :: _ as records ->
         (* A random directory of currently-light nodes. *)
         let directory =
           Array.to_list
@@ -212,26 +207,28 @@ let rao_one_to_many ?(epsilon_rel = 0.05) ?(directory_size = 16) ~rng ~oracle
           List.map (fun n -> (n, ref (deficit_of ~lbi ~epsilon n))) directory
         in
         List.iter
-          (fun (vs_id, vload) ->
-            (* best fit: smallest sufficient deficit in the directory *)
-            let best =
-              List.fold_left
-                (fun best (n, d) ->
-                  if !d >= vload then
-                    match best with
-                    | Some (_, bd) when !bd <= !d -> best
-                    | _ -> Some (n, d)
-                  else best)
-                None deficits
-            in
-            match best with
-            | Some (n, d) ->
-              transfer acc ~oracle dht ~vs_id ~from_node:h.Dht.node_id
-                ~to_node:n.Dht.node_id ~load:vload;
-              d := !d -. vload
-            | None -> ())
-          shed
-      end)
+          (fun (r : Types.vsa_record) ->
+            match r with
+            | Light _ -> ()
+            | Shed { vs_id; vs_load; _ } -> (
+              (* best fit: smallest sufficient deficit in the directory *)
+              let best =
+                List.fold_left
+                  (fun best (n, d) ->
+                    if !d >= vs_load then
+                      match best with
+                      | Some (_, bd) when !bd <= !d -> best
+                      | _ -> Some (n, d)
+                    else best)
+                  None deficits
+              in
+              match best with
+              | Some (n, d) ->
+                transfer acc ~oracle dht ~vs_id ~from_node:h.Dht.node_id
+                  ~to_node:n.Dht.node_id ~load:vs_load;
+                d := !d -. vs_load
+              | None -> ()))
+          records)
     heavies;
   {
     hist = acc.h;
@@ -250,33 +247,14 @@ let rao_many_to_many ?(epsilon_rel = 0.05) ~rng ~oracle dht =
   (* One global pool: exactly the rendezvous pairing run at a single
      point, proximity-blind. *)
   let sheds, lights =
-    Dht.fold_nodes dht ~init:([], []) ~f:(fun (ss, ls) n ->
-        match Classify.classify_node ~lbi ~epsilon dht n with
-        | Types.Neutral -> (ss, ls)
-        | Types.Light ->
-          ( ss,
-            Types.
-              {
-                deficit = deficit_of ~lbi ~epsilon n;
-                light_node = n.Dht.node_id;
-              }
-            :: ls )
-        | Types.Heavy ->
-          let target =
-            Classify.target_load ~lbi ~epsilon ~capacity:n.Dht.capacity
-          in
-          let need = Dht.node_load n -. target in
-          let loads =
-            Array.of_list
-              (List.map (fun v -> (v.Dht.vs_id, v.Dht.load)) n.Dht.vss)
-          in
-          let shed = Excess.choose_shed ~keep_at_least:0 ~loads need in
-          ( List.map
-              (fun (vs_id, vs_load) ->
-                Types.{ vs_load; vs_id; heavy_node = n.Dht.node_id })
-              shed
-            @ ss,
-            ls ))
+    Dht.fold_nodes dht ~init:([], []) ~f:(fun acc n ->
+        List.fold_right
+          (fun (r : Types.vsa_record) (ss, ls) ->
+            match r with
+            | Shed s -> (s :: ss, ls)
+            | Light l -> (ss, l :: ls))
+          (Vsa.node_records ~epsilon ~lbi n)
+          acc)
   in
   let pool = Pairing.of_entries sheds lights in
   let assignments, _ = Pairing.pair ~l_min:lbi.Types.l_min pool in

@@ -26,6 +26,11 @@ module Histogram = P2plb_metrics.Histogram
          against all light capacities (best case for balance quality,
          still proximity-blind).}} *)
 
+val global_lbi : 'a Dht.t -> Types.lbi
+(** The exact system-wide [<L, C, L_min>], computed directly from the
+    ring.  The baselines have no aggregation tree and are granted it
+    outright (an optimistic assumption in their favour). *)
+
 type result = {
   hist : Histogram.t;
   moved_load : float;

@@ -12,6 +12,9 @@ module Par = P2plb_sim.Par
 
 (* ---- common ----------------------------------------------------------- *)
 
+let paper_nodes = 4096
+let paper_graphs = 10
+
 type balance_result = {
   unit_before : float array;
   unit_after : float array;
@@ -42,12 +45,12 @@ let balance_run ?obs ~seed ~n_nodes ~workload () =
     gini_after = Stats.gini o.Controller.unit_loads_after;
   }
 
-let fig4 ?obs ?(seed = 1) ?(n_nodes = 4096) () =
+let fig4 ?obs ?(seed = 1) ?(n_nodes = paper_nodes) () =
   balance_run ?obs ~seed ~n_nodes ~workload:Workload.default_gaussian ()
 
 let fig5 = fig4
 
-let fig6 ?obs ?(seed = 1) ?(n_nodes = 4096) () =
+let fig6 ?obs ?(seed = 1) ?(n_nodes = paper_nodes) () =
   balance_run ?obs ~seed ~n_nodes ~workload:Workload.default_pareto ()
 
 let percentiles_row label xs =
@@ -147,14 +150,7 @@ type proximity_result = {
    min(shed supply, light demand), summed, over total supply. *)
 let locality_ceiling (s : Scenario.t) =
   let dht = s.Scenario.dht in
-  let lbi : Types.lbi =
-    {
-      l = Dht.total_load dht;
-      c = Dht.total_capacity dht;
-      l_min =
-        Dht.fold_vs dht ~init:infinity ~f:(fun a v -> Float.min a v.Dht.load);
-    }
-  in
+  let lbi = Baselines.global_lbi dht in
   let epsilon = Controller.default.Controller.epsilon_rel *. lbi.l /. lbi.c in
   let supply = Hashtbl.create 256 and demand = Hashtbl.create 256 in
   let bump tbl k v =
@@ -230,11 +226,13 @@ let proximity_run ?(pool = Par.sequential) ?obs ~seed ~graphs ~n_nodes ~topology
     graphs;
   }
 
-let fig7 ?pool ?obs ?(seed = 1) ?(graphs = 10) ?(n_nodes = 4096) () =
+let fig7 ?pool ?obs ?(seed = 1) ?(graphs = paper_graphs) ?(n_nodes = paper_nodes)
+    () =
   proximity_run ?pool ?obs ~seed ~graphs ~n_nodes
     ~topology:Transit_stub.ts5k_large ()
 
-let fig8 ?pool ?obs ?(seed = 1) ?(graphs = 10) ?(n_nodes = 4096) () =
+let fig8 ?pool ?obs ?(seed = 1) ?(graphs = paper_graphs) ?(n_nodes = paper_nodes)
+    () =
   proximity_run ?pool ?obs ~seed ~graphs ~n_nodes
     ~topology:Transit_stub.ts5k_small ()
 
@@ -338,7 +336,8 @@ type baseline_row = {
   b_cdf10 : float;
 }
 
-let baselines ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 4096) () =
+let baselines ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = paper_nodes)
+    () =
   let config = { Scenario.default with n_nodes } in
   let fresh () = Scenario.build ~seed config in
   let ours proximity name obs =
@@ -805,8 +804,6 @@ let render_load_drift rows =
          ])
        rows)
 
-let render_sweep ~title ~header rows = Report.table ~title ~header rows
-
 (* ---- the scale tier --------------------------------------------------- *)
 
 type scale_row = {
@@ -908,3 +905,158 @@ let render_scale rows =
            string_of_int r.sc_tree_depth;
          ])
        rows)
+
+(* ---- the catalogue ---------------------------------------------------- *)
+
+type size = Fixed | Default of int | Capped of int
+
+type args = {
+  pool : Par.t;
+  obs : P2plb_obs.Obs.t option;
+  seed : int;
+  nodes : int;
+  graphs : int;
+}
+
+type output = { text : string; csv : (string * string) list }
+
+type entry = {
+  name : string;
+  doc : string;
+  size : size;
+  takes_graphs : bool;
+  takes_jobs : bool;
+  takes_csv : bool;
+  report : args -> output;
+}
+
+let entry_nodes e n =
+  match e.size with Fixed | Default _ -> n | Capped cap -> Int.min n cap
+
+let text text = { text; csv = [] }
+
+let proximity_output name ~title r =
+  let csv suffix h = (name ^ suffix, P2plb_metrics.Csv.of_histogram h) in
+  {
+    text = render_proximity ~title r;
+    csv = [ csv "_aware.csv" r.aware; csv "_ignorant.csv" r.ignorant ];
+  }
+
+(* The five design-choice sweeps, run in this order, one table each. *)
+let render_ablations ?pool ?obs ~seed ~n_nodes () =
+  let i = string_of_int and cdf = Printf.sprintf "%.3f" in
+  let epsilon = ablation_epsilon ?pool ?obs ~seed ~n_nodes () in
+  let threshold = ablation_threshold ?pool ?obs ~seed ~n_nodes () in
+  let curve = ablation_curve ?pool ?obs ~seed ~n_nodes () in
+  let k = ablation_k ?pool ?obs ~seed ~n_nodes () in
+  let landmarks = ablation_landmarks ?pool ?obs ~seed ~n_nodes () in
+  String.concat "\n"
+    [
+      Report.table
+        ~title:"Ablation — epsilon_rel (balance slack vs residual heavies)"
+        ~header:[ "epsilon_rel"; "heavy after"; "moved" ]
+        (List.map
+           (fun (e, h, m) ->
+             [ Printf.sprintf "%.2f" e; i h; Printf.sprintf "%.1f%%" (100.0 *. m) ])
+           epsilon);
+      Report.table ~title:"Ablation — rendezvous threshold"
+        ~header:[ "threshold"; "CDF@2"; "CDF@10" ]
+        (List.map (fun (t, c2, c10) -> [ i t; cdf c2; cdf c10 ]) threshold);
+      Report.table ~title:"Ablation — space-filling curve for VSA keys"
+        ~header:[ "curve"; "CDF@2"; "CDF@10" ]
+        (List.map (fun (c, c2, c10) -> [ c; cdf c2; cdf c10 ]) curve);
+      Report.table ~title:"Ablation — K-nary tree degree"
+        ~header:[ "K"; "depth"; "KT nodes"; "messages" ]
+        (List.map (fun (k, d, n, m) -> [ i k; i d; i n; i m ]) k);
+      Report.table ~title:"Ablation — landmark count vs per-axis key resolution"
+        ~header:[ "m"; "order"; "CDF@2"; "CDF@10" ]
+        (List.map (fun (m, o, c2, c10) -> [ i m; i o; cdf c2; cdf c10 ]) landmarks);
+    ]
+
+let entry ?(graphs = false) ?(jobs = false) ?(csv = false) name doc size report =
+  { name; doc; size; takes_graphs = graphs; takes_jobs = jobs; takes_csv = csv; report }
+
+let catalogue =
+  [
+    entry "fig4" "Unit-load scatter before/after load balancing (Gaussian)."
+      (Default paper_nodes) (fun a ->
+        text (render_fig4 (fig4 ?obs:a.obs ~seed:a.seed ~n_nodes:a.nodes ())));
+    entry "fig5" "Load vs capacity category after LB (Gaussian)."
+      (Default paper_nodes) (fun a ->
+        text
+          (render_capacity_alignment
+             ~title:"Figure 5 — load vs capacity after LB (Gaussian loads)"
+             (fig5 ?obs:a.obs ~seed:a.seed ~n_nodes:a.nodes ())));
+    entry "fig6" "Load vs capacity category after LB (Pareto)."
+      (Default paper_nodes) (fun a ->
+        text
+          (render_capacity_alignment
+             ~title:"Figure 6 — load vs capacity after LB (Pareto loads)"
+             (fig6 ?obs:a.obs ~seed:a.seed ~n_nodes:a.nodes ())));
+    entry ~graphs:true ~jobs:true ~csv:true "fig7"
+      "Moved-load distance distribution and CDF on ts5k-large."
+      (Default paper_nodes) (fun a ->
+        proximity_output "fig7"
+          ~title:
+            "Figure 7 — moved load vs transfer distance, ts5k-large\n\
+             (paper: aware 67% within 2 hops, 86% within 10; ignorant 13% \
+             within 10)"
+          (fig7 ~pool:a.pool ?obs:a.obs ~seed:a.seed ~graphs:a.graphs
+             ~n_nodes:a.nodes ()));
+    entry ~graphs:true ~jobs:true ~csv:true "fig8"
+      "Moved-load distance distribution and CDF on ts5k-small."
+      (Default paper_nodes) (fun a ->
+        proximity_output "fig8"
+          ~title:
+            "Figure 8 — moved load vs transfer distance, ts5k-small\n\
+             (paper: aware still clearly ahead of ignorant with nodes \
+             scattered Internet-wide)"
+          (fig8 ~pool:a.pool ?obs:a.obs ~seed:a.seed ~graphs:a.graphs
+             ~n_nodes:a.nodes ()));
+    (* List elements evaluate right to left: K = 8 runs first, and the
+       trace bytes depend on that order. *)
+    entry ~jobs:true "tvsa" "VSA rounds vs network size for K = 2 and K = 8."
+      Fixed (fun a ->
+        text
+          (render_tvsa
+             [
+               tvsa ~pool:a.pool ?obs:a.obs ~seed:a.seed ~k:2 ();
+               tvsa ~pool:a.pool ?obs:a.obs ~seed:a.seed ~k:8 ();
+             ]));
+    entry ~jobs:true "baselines"
+      "Compare against CFS shedding and the Rao et al. schemes."
+      (Default paper_nodes) (fun a ->
+        text
+          (render_baselines
+             (baselines ~pool:a.pool ?obs:a.obs ~seed:a.seed ~n_nodes:a.nodes ())));
+    entry "churn"
+      "Self-repair: crash/join nodes, refresh the KT tree, rebalance."
+      (Capped 1024) (fun a ->
+        text (render_churn (churn ?obs:a.obs ~seed:a.seed ~n_nodes:a.nodes ())));
+    entry ~jobs:true "resilience"
+      "Fault injection: mid-round crashes + message loss, KT repair, retries."
+      (Capped 1024) (fun a ->
+        text
+          (render_resilience
+             (resilience ~pool:a.pool ?obs:a.obs ~seed:a.seed ~n_nodes:a.nodes ())));
+    entry ~jobs:true "overhead"
+      "Per-phase message cost of one LB round vs network size." Fixed (fun a ->
+        text (render_overhead (overhead ~pool:a.pool ?obs:a.obs ~seed:a.seed ())));
+    (* The store substrate runs no balancing round: nothing to trace. *)
+    entry ~jobs:true "durability"
+      "Replicated-store availability and loss under churn." (Capped 512)
+      (fun a ->
+        text
+          (render_durability
+             (durability ~pool:a.pool ~seed:a.seed ~n_nodes:a.nodes ())));
+    entry "drift" "Periodic balancing under load drift." (Capped 1024) (fun a ->
+        text
+          (render_load_drift
+             (load_drift ?obs:a.obs ~seed:a.seed ~n_nodes:a.nodes ())));
+    entry ~jobs:true "ablations"
+      "Design-choice sweeps: epsilon, threshold, curve, K." (Capped 2048)
+      (fun a ->
+        text
+          (render_ablations ~pool:a.pool ?obs:a.obs ~seed:a.seed
+             ~n_nodes:a.nodes ()));
+  ]

@@ -21,7 +21,18 @@ module Transit_stub = P2plb_topology.Transit_stub
     task-index order, so every return value and digest is byte-identical
     to the default sequential pool (DESIGN.md §12).  [fig4]–[fig6],
     [churn] and [load_drift] are single runs or inherently sequential
-    epoch chains and take no pool. *)
+    epoch chains and take no pool.
+
+    {!catalogue} at the end of this interface is the one list of these
+    experiments: [lb_sim]'s per-experiment subcommands, [lb_sim all]
+    and the bench harness's figure pass are all built by walking it. *)
+
+val paper_nodes : int
+(** 4096, the paper's overlay size and the default of every experiment
+    run at the paper's scale. *)
+
+val paper_graphs : int
+(** 10, the topology instances the paper aggregates for Figs. 7–8. *)
 
 type balance_result = {
   unit_before : float array;  (** load/capacity per node, node order *)
@@ -252,9 +263,6 @@ val load_drift :
 
 val render_load_drift : drift_row list -> string
 
-val render_sweep :
-  title:string -> header:string list -> string list list -> string
-
 (** {1 The scale tier} *)
 
 type scale_row = {
@@ -297,3 +305,47 @@ val scale_run :
     minor). *)
 
 val render_scale : scale_row list -> string
+
+(** {1 The catalogue}
+
+    Each experiment above appears here once, with all a driver needs to
+    offer it: subcommand name and doc line, default size, which of
+    [--graphs], [--jobs] and [--csv] it takes, and a report function.
+    The list order is the order of a whole-catalogue run ([lb_sim all],
+    the bench figure pass). *)
+
+type size =
+  | Fixed  (** sweeps its own sizes; takes no [--nodes] *)
+  | Default of int  (** [--nodes] default; a whole-catalogue run passes its size *)
+  | Capped of int  (** [--nodes] default, also the whole-catalogue ceiling *)
+
+type args = {
+  pool : P2plb_sim.Par.t;  (** used only by entries that take [--jobs] *)
+  obs : P2plb_obs.Obs.t option;
+  seed : int;
+  nodes : int;  (** ignored by [Fixed] entries *)
+  graphs : int;  (** used only by entries that take [--graphs] *)
+}
+
+type output = {
+  text : string;  (** the rendered tables *)
+  csv : (string * string) list;  (** [(file name, contents)] for [--csv DIR] *)
+}
+
+type entry = {
+  name : string;  (** subcommand name and bench record row *)
+  doc : string;
+  size : size;
+  takes_graphs : bool;
+  takes_jobs : bool;
+  takes_csv : bool;
+  report : args -> output;
+}
+
+val catalogue : entry list
+(** fig4, fig5, fig6, fig7, fig8, tvsa, baselines, churn, resilience,
+    overhead, durability, drift, ablations. *)
+
+val entry_nodes : entry -> int -> int
+(** [entry_nodes e n]: the size [e] runs at when a whole-catalogue run
+    asks for [n] nodes. *)

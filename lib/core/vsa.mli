@@ -57,6 +57,12 @@ type result = {
 val default_threshold : int
 (** 30, the rendezvous threshold the paper suggests. *)
 
+val node_records :
+  epsilon:float -> lbi:Types.lbi -> Dht.node -> Types.vsa_record list
+(** What one node reports for pairing: a heavy node's shed VSs (the
+    minimal set chosen by {!Excess.choose_shed}), a light node's single
+    spare-capacity slot, or nothing for a neutral node. *)
+
 val pool_of_records : Types.vsa_record list -> Pairing.pool
 (** Builds a leaf pool from records in arrival order, exactly as the
     original list-based rendezvous did.  Retained as the reference

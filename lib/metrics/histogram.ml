@@ -80,8 +80,6 @@ let mean t =
     !acc /. t.sum
   end
 
-let to_fractions t = List.map (fun (b, w) -> (b, w /. t.sum)) (bins t)
-
 let to_cdf t =
   let acc = ref 0.0 in
   List.map

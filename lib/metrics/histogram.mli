@@ -43,7 +43,6 @@ val mean : t -> float
 val bins : t -> (int * float) list
 (** Non-empty bins in increasing order with their weights. *)
 
-val to_fractions : t -> (int * float) list
 val to_cdf : t -> (int * float) list
 (** CDF sampled at each non-empty bin. *)
 

@@ -438,5 +438,4 @@ let read_file path =
          (fun () -> really_input_string ic (in_channel_length ic)))
   | exception Sys_error msg -> Error msg
 
-let load_jsonl_full path = Result.join (Result.map parse_jsonl_full (read_file path))
-let load_jsonl path = Result.map snd (load_jsonl_full path)
+let load_jsonl path = Result.join (Result.map parse_jsonl (read_file path))

@@ -132,8 +132,6 @@ val load_jsonl : string -> (ev list, string) result
     diagnostic (missing file, or the offending line number) — callers
     such as [lb_sim trace-summary] turn it into exit code 1. *)
 
-val load_jsonl_full : string -> (int * ev list, string) result
-
 (** {1 Flat-line JSON view}
 
     The sink's one-object-per-line subset, exposed for the sibling

@@ -3,9 +3,6 @@
     Each sampler takes the {!Prng.t} stream explicitly.  Parameter
     conventions follow the paper's evaluation section (§5.1). *)
 
-val uniform : Prng.t -> lo:float -> hi:float -> float
-(** Uniform on [\[lo, hi)]. *)
-
 val normal : Prng.t -> mean:float -> stddev:float -> float
 (** Gaussian via the Box–Muller transform.  [stddev >= 0]. *)
 
