@@ -8,7 +8,6 @@ module Par = P2plb_sim.Par
 module Obs = P2plb_obs.Obs
 module Trace = P2plb_obs.Trace
 module Registry = P2plb_obs.Registry
-module Summary = P2plb_obs.Summary
 module Spantree = P2plb_obs.Spantree
 module Timeseries = P2plb_obs.Timeseries
 
@@ -63,7 +62,7 @@ let trace_out_arg =
   let doc =
     "Write the run's structured trace to $(docv) as JSONL: one event per \
      line, stamped with simulated time, byte-identical across same-seed \
-     runs.  Render it with $(b,lb_sim trace-summary)."
+     runs.  Render it with $(b,lb_sim trace-analyze)."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -78,8 +77,8 @@ let metrics_out_arg =
 let series_out_arg =
   let doc =
     "Write the run's per-round load time-series (JSONL, one sample per \
-     balancing round, digest-stable) to $(docv).  Render or gate on it with \
-     $(b,lb_sim convergence)."
+     balancing round, digest-stable) to $(docv), for diffing or plotting \
+     outside lb_sim; no subcommand reads it back."
   in
   Arg.(
     value & opt (some string) None & info [ "series-out" ] ~docv:"FILE" ~doc)
@@ -245,13 +244,6 @@ let run_scale seed sizes rounds pool sinks =
 
 (* ---- trace analytics ---------------------------------------------------- *)
 
-let run_trace_summary file =
-  match Trace.load_jsonl file with
-  | Ok evs -> print_string (Summary.render evs)
-  | Error e ->
-    prerr_endline ("trace-summary: " ^ e);
-    exit 1
-
 (* A plain [string] positional, not cmdliner's [file] converter: the
    converter rejects a missing path with its own exit code (124) before
    our code runs, while the contract here is exit 1 with a one-line
@@ -367,20 +359,20 @@ let all_cmd =
       const run_all $ seed_arg $ graphs_arg $ nodes_arg E.paper_nodes $ pool_arg
       $ sink_arg)
 
-let trace_summary_cmd =
-  cmd "trace-summary"
-    "Render a recorded trace: per-phase span tables, point-event counts, \
-     and the hop-cost distribution reconstructed from vst/transfer events."
-    Term.(const run_trace_summary $ trace_file_arg)
-
 let trace_analyze_cmd =
   let phase_arg =
-    let doc = "Keep only spans named $(docv) (e.g. $(b,phase/vst))." in
+    let doc =
+      "Keep only the span rows named $(docv) (e.g. $(b,phase/vst)); the \
+       point-event and hop-cost tables still cover every kept round."
+    in
     Arg.(
       value & opt (some string) None & info [ "phase" ] ~docv:"NAME" ~doc)
   in
   let round_arg =
-    let doc = "Keep only balancing round $(docv)." in
+    let doc =
+      "Keep only balancing round $(docv): its span rows, point events and \
+       hop costs."
+    in
     Arg.(value & opt (some int) None & info [ "round" ] ~docv:"R" ~doc)
   in
   let json_arg =
@@ -391,8 +383,9 @@ let trace_analyze_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   cmd "trace-analyze"
-    "Reconstruct the span forest from a recorded trace and report per-round \
-     critical paths and per-phase simulated-time breakdowns."
+    "Report a recorded trace: per-round span tables (count, point events, \
+     summed numeric attributes such as each phase's messages), point-event \
+     counts, and the hop-cost distribution rebuilt from vst/transfer events."
     Term.(
       const run_trace_analyze $ trace_file_arg $ phase_arg $ round_arg
       $ json_arg)
@@ -442,7 +435,6 @@ let () =
           scale_cmd;
           verify_cmd;
           all_cmd;
-          trace_summary_cmd;
           trace_analyze_cmd;
           convergence_cmd;
         ])

@@ -61,15 +61,12 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
   | Some o, Some e ->
     P2plb_obs.Trace.set_clock (P2plb_obs.Obs.trace o) (fun () -> Engine.now e)
   | _ -> ());
-  (match (obs, faults) with
-  | Some o, Some f -> Faults.attach_obs f o
-  | _ -> ());
+  let faults = Faults.or_none faults in
+  Option.iter (Faults.attach_obs faults) obs;
   (* Fault-plan counters are cumulative; report this round's share. *)
-  let retries0, timeouts0, crashes0 =
-    match faults with
-    | None -> (0, 0, 0)
-    | Some f -> (Faults.retries f, Faults.timeouts f, Faults.crashes f)
-  in
+  let retries0 = Faults.retries faults
+  and timeouts0 = Faults.timeouts faults
+  and crashes0 = Faults.crashes faults in
   (* With a clock attached, the round occupies one unit of simulated
      time and each phase ends at a barrier; armed fault events (node
      crashes) fire between phases, exercising mid-round churn. *)
@@ -131,7 +128,7 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
   let msg0 = Ktree.messages tree in
   let sp = begin_phase "phase/lbi" [] in
   let lbi =
-    Lbi.run ~rng:s.Scenario.rng ?faults ~route_messages:config.route_messages
+    Lbi.run ~rng:s.Scenario.rng ~faults ~route_messages:config.route_messages
       tree dht
   in
   let lbi_rounds = Ktree.rounds_last_sweep tree in
@@ -169,7 +166,7 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
   let msg0 = Ktree.messages tree in
   let sp = begin_phase "phase/vsa" [] in
   let vsa =
-    Vsa.run ~threshold:config.threshold ~epsilon ?faults
+    Vsa.run ~threshold:config.threshold ~epsilon ~faults
       ~route_messages:config.route_messages ~mode ~rng:s.Scenario.rng ~lbi tree
       dht
   in
@@ -194,7 +191,7 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
       ]
   in
   let vst =
-    Vst.apply ~tree ?obs ?faults
+    Vst.apply ~tree ?obs ~faults
       ?oracle:(if config.account_distance then Some s.Scenario.oracle else None)
       dht
       vsa.Vsa.assignments
@@ -249,11 +246,6 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
       P2plb_obs.Registry.peak
         (P2plb_obs.Registry.gauge m "engine/peak_pending")
         (float_of_int st.Engine.peak_pending)));
-  let retries1, timeouts1, crashes1 =
-    match faults with
-    | None -> (0, 0, 0)
-    | Some f -> (Faults.retries f, Faults.timeouts f, Faults.crashes f)
-  in
   {
     lbi;
     epsilon;
@@ -268,11 +260,11 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
     tree_messages = Ktree.messages tree;
     unit_loads_before;
     unit_loads_after;
-    retries = retries1 - retries0;
-    timeouts = timeouts1 - timeouts0;
+    retries = Faults.retries faults - retries0;
+    timeouts = Faults.timeouts faults - timeouts0;
     kt_repairs = Ktree.repairs tree;
     kt_repair_messages = Ktree.repair_messages tree;
-    crashes_mid_round = crashes1 - crashes0;
+    crashes_mid_round = Faults.crashes faults - crashes0;
   }
 
 let moved_fraction o =

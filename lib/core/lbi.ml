@@ -16,11 +16,9 @@ let zero_lbi : Types.lbi = { l = 0.0; c = 0.0; l_min = infinity }
 (* A report/disseminate send under fault injection: retried with
    bounded backoff; [false] means the sender timed out and the message
    is lost for this round (the round degrades gracefully rather than
-   stalling).  Without a fault plan every send succeeds untouched. *)
-let reliable faults =
-  match faults with
-  | None -> true
-  | Some f -> ( match Faults.send f with Faults.Delivered _ -> true | Faults.Lost -> false)
+   stalling).  The all-zero plan delivers every send untouched. *)
+let reliable f =
+  match Faults.send f with Faults.Delivered _ -> true | Faults.Lost -> false
 
 let aggregate ~rng ?faults ?(route_messages = false) tree dht =
   if Dht.n_nodes dht = 0 then invalid_arg "Lbi.aggregate: no alive nodes";
@@ -31,10 +29,11 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
   (* Each node reports through one randomly chosen VS (to avoid
      redundant per-node reports); the VS hands the report to its
      designated KT leaf. *)
+  let f = Faults.or_none faults in
   let reports = Leaf_reports.buffer () in
   Dht.fold_nodes dht ~init:() ~f:(fun () n ->
       let v = Dht.report_vs dht rng n in
-      if reliable faults then begin
+      if reliable f then begin
         let slot = Ktree.slot_of_vs tree v.Dht.vs_id in
         if slot >= 0 then Leaf_reports.push reports slot (node_lbi n)
       end);
@@ -52,12 +51,13 @@ let disseminate ?faults ?(route_messages = false) tree dht lbi =
   (* Nodes may have died during aggregation; re-plant before pushing
      the root value back down. *)
   ignore (Ktree.repair ~route_messages tree dht);
+  let f = Faults.or_none faults in
   (* The final hop, leaf -> reporting VS, rides the same lossy links
      as the reports; losses are retried and, at worst, counted as
      timeouts (the stale-LBI node re-reads it next round). *)
   Ktree.sweep_down tree ~at_root:lbi
     ~split:(fun _ v -> v)
-    ~at_leaf:(fun _ _ _ -> ignore (reliable faults))
+    ~at_leaf:(fun _ _ _ -> ignore (reliable f))
 
 let run ~rng ?faults ?route_messages tree dht =
   let lbi = aggregate ~rng ?faults ?route_messages tree dht in

@@ -63,23 +63,21 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
      crashes and partition episodes are spread over the whole horizon
      and fire at the phase barriers inside Controller.run (mid-round
      churn and mid-round cuts). *)
+  let faults = Faults.or_none faults in
   let engine =
-    match faults with
-    | Some f when Faults.enabled f ->
+    if Faults.enabled faults then begin
       let e = Engine.create () in
-      Faults.arm f e
+      Faults.arm faults e
         ~horizon:(float_of_int max_rounds)
         ~population:(Dht.n_nodes dht)
         ~crash:(fun ~rank -> crash_by_rank dht ~rank);
       Some e
-    | _ -> None
+    end
+    else None
   in
-  let counters0 =
-    match faults with
-    | Some f ->
-      (Faults.crashes f, Faults.transfer_crashes f, Faults.partitions_formed f)
-    | None -> (0, 0, 0)
-  in
+  let crashes0 = Faults.crashes faults
+  and transfer_crashes0 = Faults.transfer_crashes faults
+  and partitions0 = Faults.partitions_formed faults in
   let rec go index acc total =
     (* Round spans wrap each controller round so the span forest groups
        phases under their round. *)
@@ -90,7 +88,7 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
           (tr, Trace.begin_span tr ~attrs:[ ("index", Trace.Int index) ] "round"))
         obs
     in
-    let o = Controller.run ~config ?faults ?engine ?obs scenario in
+    let o = Controller.run ~config ~faults ?engine ?obs scenario in
     (* Drain this round's remaining fault events (e.g. crashes armed
        in the last 30% of the round's time slice). *)
     (match engine with
@@ -141,15 +139,6 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
     | Some stop ->
       let rounds = List.rev acc in
       let sum f = List.fold_left (fun s r -> s + f r) 0 rounds in
-      let c0, tc0, p0 = counters0 in
-      let crashes, transfer_crashes, partitions_formed =
-        match faults with
-        | Some f ->
-          ( Faults.crashes f - c0,
-            Faults.transfer_crashes f - tc0,
-            Faults.partitions_formed f - p0 )
-        | None -> (0, 0, 0)
-      in
       {
         rounds;
         stop;
@@ -163,9 +152,9 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
         total_timeouts = sum (fun r -> r.timeouts);
         total_aborted = sum (fun r -> r.aborted);
         total_deduped = sum (fun r -> r.deduped);
-        crashes;
-        transfer_crashes;
-        partitions_formed;
+        crashes = Faults.crashes faults - crashes0;
+        transfer_crashes = Faults.transfer_crashes faults - transfer_crashes0;
+        partitions_formed = Faults.partitions_formed faults - partitions0;
       }
     | None -> go (index + 1) acc total
   in

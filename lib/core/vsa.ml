@@ -96,13 +96,11 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   (* Heal KT nodes orphaned by churn since the last sweep, so record
      injection and the rendezvous sweep run against live hosts. *)
   ignore (Ktree.repair ~route_messages tree dht);
+  let f = Faults.or_none faults in
   let send () =
-    match faults with
-    | None -> Some 1
-    | Some f -> (
-      match Faults.send f with
-      | Faults.Delivered attempts -> Some attempts
-      | Faults.Lost -> None)
+    match Faults.send f with
+    | Faults.Delivered attempts -> Some attempts
+    | Faults.Lost -> None
   in
   let records_lost = ref 0 in
   let stale_dropped = ref 0 in
@@ -119,10 +117,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let failed =
     match mode with
     | Ignorant -> []
-    | Aware { space; _ } -> (
-      match faults with
-      | None -> []
-      | Some f -> Faults.failed_landmarks f ~m:(Landmark.m space))
+    | Aware { space; _ } -> Faults.failed_landmarks f ~m:(Landmark.m space)
   in
   let route_record (n : Dht.node) r =
     match mode with

@@ -65,9 +65,7 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
   (* Without a plan an all-zero one stands in: it delivers every send,
      strikes no window crash, duplicates nothing and draws no
      randomness. *)
-  let f =
-    match faults with Some f -> f | None -> Faults.create ~seed:0 Faults.none
-  in
+  let f = Faults.or_none faults in
   (* Per-assignment sequence numbers: the pair (vs id, seq) names one
      transaction, so a replayed TRANSFER is recognised and dropped. *)
   let seq = ref 0 in

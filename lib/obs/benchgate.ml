@@ -151,18 +151,6 @@ let bool_field fields k =
   | Trace.Int _ | Trace.Float _ | Trace.Str _ ->
     Error (Printf.sprintf "field %S is not a boolean" k)
 
-(* Parallel-execution meta fields postdate some committed records;
-   absent fields read as a sequential run, so schema 1 stays valid. *)
-let int_or fields k default =
-  match List.assoc_opt k fields with
-  | None -> Ok default
-  | Some _ -> int_field fields k
-
-let num_or fields k default =
-  match List.assoc_opt k fields with
-  | None -> Ok default
-  | Some _ -> num fields k
-
 let meta_of_fields fields =
   let* m_schema = int_field fields "schema" in
   let* m_rev = str fields "rev" in
@@ -170,9 +158,9 @@ let meta_of_fields fields =
   let* m_graphs = int_field fields "graphs" in
   let* m_seed = int_field fields "seed" in
   let* m_smoke = bool_field fields "smoke" in
-  let* m_jobs = int_or fields "jobs" 1 in
-  let* m_wall_s = num_or fields "wall_s" 0.0 in
-  let* m_speedup = num_or fields "speedup" 1.0 in
+  let* m_jobs = int_field fields "jobs" in
+  let* m_wall_s = num fields "wall_s" in
+  let* m_speedup = num fields "speedup" in
   Ok
     {
       m_schema;

@@ -41,14 +41,12 @@ type meta = {
   m_seed : int;
   m_smoke : bool;
   m_jobs : int;
-      (** [--jobs] domain count of the recording run; records written
-          before the parallel layer read back as [1] *)
-  m_wall_s : float;
-      (** wall-clock seconds of the figure phase (0 when unrecorded) *)
+      (** [--jobs] domain count of the recording run *)
+  m_wall_s : float;  (** wall-clock seconds of the figure phase *)
   m_speedup : float;
-      (** total experiment cpu over wall — parallel utilisation; [1.0]
-          when unrecorded.  Like cpu/alloc, wall-clock-tainted and
-          excluded from {!sim_digest}. *)
+      (** total experiment cpu over wall — parallel utilisation.  Like
+          cpu/alloc, wall-clock-tainted and excluded from
+          {!sim_digest}. *)
 }
 
 type file = {

@@ -1,315 +1,361 @@
+module Histogram = P2plb_metrics.Histogram
 module Report = P2plb_metrics.Report
 
-(* Span-forest reconstruction and critical-path analytics over a
-   trace's event list.  Works on both schema versions: v2 events carry
-   explicit parent ids (validated against the replayed open-span set);
-   v1 events derive parents by replaying the begin/end stack exactly as
-   Trace recorded it.  All outputs are deterministic — ordering comes
-   from event order, never from hash-table traversal. *)
+(* The span forest of a schema-v2 trace and every table derived from
+   it.  Ordering comes from event order and typed sorts only, never
+   from hash-table traversal, so both reports are byte-stable. *)
 
 type node = {
-  nd_id : int;
   nd_name : string;
-  nd_parent : int;
   nd_t0 : float;
-  nd_t1 : float;
   nd_attrs : (string * Trace.value) list;
-  nd_points : int;
+  nd_points : Trace.ev list;
   nd_children : node list;
 }
+
+type forest = { roots : node list; loose : Trace.ev list }
 
 type builder = {
   b_id : int;
   b_name : string;
-  b_parent : int;
   b_t0 : float;
-  mutable b_t1 : float;
-  mutable b_closed : bool;
+  mutable b_open : bool;
   mutable b_attrs : (string * Trace.value) list; (* reversed *)
-  mutable b_children : builder list; (* reversed, begin order *)
-  mutable b_points : int;
+  mutable b_points : Trace.ev list; (* reversed *)
+  mutable b_children : builder list; (* reversed *)
 }
 
 let of_events evs =
   let by_id : (int, builder) Hashtbl.t = Hashtbl.create 64 in
-  let all = ref [] (* reversed creation order *) in
-  let roots = ref [] (* reversed *) in
-  let stack = ref [] (* open span ids, innermost first *) in
-  let err = ref None in
-  let fail msg = if Option.is_none !err then err := Some msg in
-  let on_begin (e : Trace.ev) =
-    if Hashtbl.mem by_id e.span then
-      fail (Printf.sprintf "span %d ('%s') begins twice" e.span e.name)
-    else begin
-      let derived = match !stack with [] -> -1 | id :: _ -> id in
-      let parent =
-        if e.parent >= 0 then
-          if List.exists (fun id -> Int.equal id e.parent) !stack then e.parent
-          else begin
-            fail
-              (Printf.sprintf
-                 "span %d ('%s') declares parent %d, which is not an open \
-                  span (orphan parent)"
-                 e.span e.name e.parent);
-            derived
-          end
-        else derived
-      in
+  let roots = ref [] and loose = ref [] and all = ref [] in
+  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  let open_span id =
+    match Hashtbl.find_opt by_id id with
+    | Some b when b.b_open -> Some b
+    | Some _ | None -> None
+  in
+  let step (e : Trace.ev) =
+    match e.kind with
+    | Trace.Begin when Hashtbl.mem by_id e.span ->
+      fail "span %d ('%s') begins twice" e.span e.name
+    | Trace.Begin -> (
       let b =
         {
           b_id = e.span;
           b_name = e.name;
-          b_parent = parent;
           b_t0 = e.time;
-          b_t1 = e.time;
-          b_closed = false;
+          b_open = true;
           b_attrs = List.rev e.attrs;
+          b_points = [];
           b_children = [];
-          b_points = 0;
         }
       in
-      Hashtbl.replace by_id e.span b;
-      all := b :: !all;
-      (match (if parent >= 0 then Hashtbl.find_opt by_id parent else None) with
-      | Some p -> p.b_children <- b :: p.b_children
-      | None -> roots := b :: !roots);
-      stack := e.span :: !stack
-    end
-  in
-  let on_end (e : Trace.ev) =
-    match Hashtbl.find_opt by_id e.span with
-    | Some b when not b.b_closed ->
-      b.b_t1 <- e.time;
-      b.b_closed <- true;
-      b.b_attrs <- List.rev_append e.attrs b.b_attrs;
-      stack := List.filter (fun id -> not (Int.equal id e.span)) !stack
-    | Some _ ->
-      fail (Printf.sprintf "span %d ('%s') ends twice" e.span e.name)
-    | None ->
-      fail
-        (Printf.sprintf
-           "end of span %d ('%s') with no matching begin (unbalanced trace)"
-           e.span e.name)
-  in
-  let on_point (e : Trace.ev) =
-    if e.span >= 0 then
-      match Hashtbl.find_opt by_id e.span with
-      | Some b -> b.b_points <- b.b_points + 1
-      | None -> ()
-  in
-  List.iter
-    (fun (e : Trace.ev) ->
-      if Option.is_none !err then
-        match e.kind with
-        | Trace.Begin -> on_begin e
-        | Trace.End -> on_end e
-        | Trace.Point -> on_point e)
-    evs;
-  (match !err with
-  | None ->
-    List.iter
-      (fun b ->
-        if not b.b_closed then
-          fail
-            (Printf.sprintf "span %d ('%s') never ends (unbalanced trace)"
-               b.b_id b.b_name))
-      (List.rev !all)
-  | Some _ -> ());
-  match !err with
-  | Some msg -> Error msg
-  | None ->
-    let rec freeze b =
-      {
-        nd_id = b.b_id;
-        nd_name = b.b_name;
-        nd_parent = b.b_parent;
-        nd_t0 = b.b_t0;
-        nd_t1 = b.b_t1;
-        nd_attrs = List.rev b.b_attrs;
-        nd_points = b.b_points;
-        nd_children = List.rev_map freeze b.b_children |> List.rev;
-      }
-    in
-    Ok (List.rev_map freeze !roots |> List.rev)
-
-(* ---- analytics --------------------------------------------------------- *)
-
-let extent n = n.nd_t1 -. n.nd_t0
-
-let self_time n =
-  let kids = List.fold_left (fun acc c -> acc +. extent c) 0.0 n.nd_children in
-  Float.max 0.0 (extent n -. kids)
-
-let rec n_spans forest =
-  List.fold_left (fun acc n -> acc + 1 + n_spans n.nd_children) 0 forest
-
-let rec depth forest =
-  List.fold_left (fun acc n -> Int.max acc (1 + depth n.nd_children)) 0 forest
-
-(* Longest-extent child chain; ties break toward the earlier child so
-   the path is a deterministic function of the forest. *)
-let critical_path root =
-  let rec go n acc =
-    match n.nd_children with
-    | [] -> List.rev (n :: acc)
-    | c :: cs ->
-      let best =
-        List.fold_left
-          (fun best c' ->
-            if Float.compare (extent c') (extent best) > 0 then c' else best)
-          c cs
+      let added () =
+        Hashtbl.replace by_id e.span b;
+        all := b :: !all;
+        Ok ()
       in
-      go best (n :: acc)
+      if e.parent < 0 then begin
+        roots := b :: !roots;
+        added ()
+      end
+      else
+        match open_span e.parent with
+        | Some p ->
+          p.b_children <- b :: p.b_children;
+          added ()
+        | None ->
+          fail
+            "span %d ('%s') declares parent %d, which is not an open span \
+             (orphan parent)"
+            e.span e.name e.parent)
+    | Trace.End -> (
+      match Hashtbl.find_opt by_id e.span with
+      | Some b when b.b_open ->
+        b.b_open <- false;
+        b.b_attrs <- List.rev_append e.attrs b.b_attrs;
+        Ok ()
+      | Some _ -> fail "span %d ('%s') ends twice" e.span e.name
+      | None ->
+        fail "end of span %d ('%s') with no matching begin (unbalanced trace)"
+          e.span e.name)
+    | Trace.Point when e.span < 0 ->
+      loose := e :: !loose;
+      Ok ()
+    | Trace.Point -> (
+      match open_span e.span with
+      | Some b ->
+        b.b_points <- e :: b.b_points;
+        Ok ()
+      | None ->
+        fail "point '%s' (seq %d) names span %d, which is not open" e.name
+          e.seq e.span)
   in
-  go root []
+  let rec go = function
+    | [] -> Ok ()
+    | e :: rest -> ( match step e with Ok () -> go rest | Error _ as err -> err)
+  in
+  let rec freeze b =
+    {
+      nd_name = b.b_name;
+      nd_t0 = b.b_t0;
+      nd_attrs = List.rev b.b_attrs;
+      nd_points = List.rev b.b_points;
+      nd_children = List.rev_map freeze b.b_children;
+    }
+  in
+  match go evs with
+  | Error _ as err -> err
+  | Ok () -> (
+    match List.find_opt (fun b -> b.b_open) (List.rev !all) with
+    | Some b -> fail "span %d ('%s') never ends (unbalanced trace)" b.b_id b.b_name
+    | None ->
+      Ok { roots = List.rev_map freeze !roots; loose = List.rev !loose })
 
-(* Round grouping: a root span named "round" carries its index as the
-   "index" attr; any other root (v1 traces: the bare phase spans) is
-   attributed to the round containing its start time — phases occupy
-   one unit of simulated time per round, so [int_of_float t0] is the
-   round index. *)
+(* ---- tables ------------------------------------------------------------ *)
+
+let cell tbl k fresh =
+  match Hashtbl.find_opt tbl k with
+  | Some v -> v
+  | None ->
+    let v = fresh () in
+    Hashtbl.replace tbl k v;
+    v
+
+let by_key cmp tbl =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> cmp a b)
+
+let numeric = function
+  | Trace.Int i -> Some (float_of_int i)
+  | Trace.Float f -> Some f
+  | Trace.Bool _ | Trace.Str _ -> None
+
+type round = { r_index : int; r_roots : node list; r_loose : Trace.ev list }
+
 let round_of_root n =
   match List.assoc_opt "index" n.nd_attrs with
   | Some (Trace.Int i) when String.equal n.nd_name "round" -> i
   | _ -> int_of_float n.nd_t0
 
-type round = { r_index : int; r_roots : node list }
-
-let rounds forest =
-  let tbl = ref [] in
+let rounds f =
+  let tbl = Hashtbl.create 8 in
+  let at i = cell tbl i (fun () -> (ref [], ref [])) in
+  List.iter (fun n -> let r, _ = at (round_of_root n) in r := n :: !r) f.roots;
   List.iter
-    (fun n ->
-      let i = round_of_root n in
-      match List.assoc_opt i !tbl with
-      | Some acc -> acc := n :: !acc
-      | None -> tbl := (i, ref [ n ]) :: !tbl)
-    forest;
-  List.map (fun (i, acc) -> { r_index = i; r_roots = List.rev !acc }) !tbl
-  |> List.sort (fun a b -> Int.compare a.r_index b.r_index)
+    (fun (e : Trace.ev) -> let _, l = at (int_of_float e.time) in l := e :: !l)
+    f.loose;
+  List.map
+    (fun (r_index, (r, l)) ->
+      { r_index; r_roots = List.rev !r; r_loose = List.rev !l })
+    (by_key Int.compare tbl)
 
-(* Per-name aggregate over every span in the trees: name, count, total
-   extent, total self-time.  Sorted by name. *)
-let phase_rows roots =
-  let acc = ref [] in
+type row = {
+  name : string;
+  count : int;
+  points : int;
+  totals : (string * float) list;
+}
+
+let span_rows r =
+  let tbl = Hashtbl.create 16 in
   let rec visit n =
-    (match List.assoc_opt n.nd_name !acc with
-    | Some cell ->
-      let c, e, s = !cell in
-      cell := (c + 1, e +. extent n, s +. self_time n)
-    | None -> acc := (n.nd_name, ref (1, extent n, self_time n)) :: !acc);
+    let count, points, sums =
+      cell tbl n.nd_name (fun () -> (ref 0, ref 0, Hashtbl.create 8))
+    in
+    incr count;
+    points := !points + List.length n.nd_points;
+    List.iter
+      (fun (k, v) ->
+        Option.iter
+          (fun x ->
+            let s = cell sums k (fun () -> ref 0.0) in
+            s := !s +. x)
+          (numeric v))
+      n.nd_attrs;
     List.iter visit n.nd_children
   in
-  List.iter visit roots;
-  List.map (fun (name, cell) -> let c, e, s = !cell in (name, c, e, s)) !acc
-  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b)
+  List.iter visit r.r_roots;
+  List.map
+    (fun (name, (count, points, sums)) ->
+      {
+        name;
+        count = !count;
+        points = !points;
+        totals = List.map (fun (k, s) -> (k, !s)) (by_key String.compare sums);
+      })
+    (by_key String.compare tbl)
 
-let round_extent r =
-  List.fold_left (fun acc n -> acc +. extent n) 0.0 r.r_roots
-
-(* The round's critical path: the chain under its longest root. *)
-let round_critical_path r =
-  match r.r_roots with
-  | [] -> []
-  | n :: ns ->
-    let best =
-      List.fold_left
-        (fun best n' ->
-          if Float.compare (extent n') (extent best) > 0 then n' else best)
-        n ns
+(* Every point event of [rs] with the "mode" attr of the span it was
+   recorded in ("all" outside a span or for an untagged one). *)
+let iter_points f rs =
+  let rec visit n =
+    let mode =
+      match List.assoc_opt "mode" n.nd_attrs with
+      | Some (Trace.Str m) -> m
+      | _ -> "all"
     in
-    critical_path best
+    List.iter (f mode) n.nd_points;
+    List.iter visit n.nd_children
+  in
+  List.iter
+    (fun r ->
+      List.iter visit r.r_roots;
+      List.iter (f "all") r.r_loose)
+    rs
 
-let matches_phase phase (name, _, _, _) =
-  match phase with None -> true | Some p -> String.equal p name
+let point_counts rs =
+  let tbl = Hashtbl.create 32 in
+  iter_points (fun _ (e : Trace.ev) -> incr (cell tbl e.name (fun () -> ref 0))) rs;
+  List.map (fun (name, n) -> (name, !n)) (by_key String.compare tbl)
 
-(* ---- rendering --------------------------------------------------------- *)
+let hop_histograms rs =
+  let tbl = Hashtbl.create 4 in
+  iter_points
+    (fun mode (e : Trace.ev) ->
+      if String.equal e.name "vst/transfer" then
+        match
+          ( Option.bind (List.assoc_opt "hops" e.attrs) numeric,
+            Option.bind (List.assoc_opt "load" e.attrs) numeric )
+        with
+        | Some hops, Some load ->
+          Histogram.add
+            (cell tbl mode Histogram.create)
+            ~bin:(int_of_float hops) ~weight:load
+        | _ -> ())
+    rs;
+  by_key String.compare tbl
 
-let path_to_string path =
-  String.concat " > "
-    (List.map
-       (fun n -> Printf.sprintf "%s[%s]" n.nd_name (Report.float_cell (extent n)))
-       path)
+(* ---- reports ----------------------------------------------------------- *)
+
+(* What both reports print for the kept rounds: the number of spans and
+   rounds, the span rows per round (of one name under [?phase]), the
+   point counts and the hop histograms. *)
+let kept ?phase ?round forest =
+  let rs =
+    List.filter
+      (fun r -> Option.fold ~none:true ~some:(Int.equal r.r_index) round)
+      (rounds forest)
+  in
+  let all = List.map (fun r -> (r.r_index, span_rows r)) rs in
+  let n_spans =
+    List.fold_left
+      (fun acc (_, rows) -> List.fold_left (fun n row -> n + row.count) acc rows)
+      0 all
+  in
+  let keep (i, rows) =
+    ( i,
+      List.filter
+        (fun row -> Option.fold ~none:true ~some:(String.equal row.name) phase)
+        rows )
+  in
+  (n_spans, List.length rs, List.map keep all, point_counts rs, hop_histograms rs)
+
+let n_points points = List.fold_left (fun acc (_, n) -> acc + n) 0 points
+
+let total_cell v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.4g" v
+
+let span_table (i, rows) =
+  match rows with
+  | [] -> None
+  | _ ->
+    Some
+      (Report.table
+         ~title:(Printf.sprintf "round %d spans (numeric attrs summed)" i)
+         ~header:[ "span"; "count"; "points"; "totals" ]
+         (List.map
+            (fun row ->
+              [
+                row.name;
+                string_of_int row.count;
+                string_of_int row.points;
+                String.concat " "
+                  (List.map (fun (k, v) -> k ^ "=" ^ total_cell v) row.totals);
+              ])
+            rows))
+
+let hop_table named =
+  let max_bin =
+    List.fold_left (fun m (_, h) -> Int.max m (Histogram.max_bin h)) (-1) named
+  in
+  let empty b =
+    List.for_all (fun (_, h) -> Float.equal (Histogram.weight_at h b) 0.0) named
+  in
+  let row b =
+    string_of_int b
+    :: List.concat_map
+         (fun (_, h) ->
+           [
+             Report.percent_cell (Histogram.fraction_at h b);
+             Report.percent_cell (Histogram.cumulative_fraction h b);
+           ])
+         named
+  in
+  let cdf h = List.map (fun (b, f) -> (float_of_int b, f)) (Histogram.to_cdf h) in
+  Report.table
+    ~title:
+      "Hop-cost of transferred load, reconstructed from vst/transfer events \
+       (grouped by the enclosing span's mode)"
+    ~header:
+      ("hops" :: List.concat_map (fun (m, _) -> [ m ^ " %"; m ^ " CDF" ]) named)
+    (List.filter_map
+       (fun b -> if empty b then None else Some (row b))
+       (List.init (max_bin + 1) Fun.id))
+  ^ "\n"
+  ^ Report.ascii_plot ~title:"CDF of moved load vs transfer distance"
+      ~x_label:"hops" ~y_label:"CDF"
+      ~series:(List.map (fun (m, h) -> (m, cdf h)) named)
+      ()
 
 let render ?phase ?round forest =
-  let buf = Buffer.create 1024 in
-  let rs = rounds forest in
-  let rs =
-    match round with
-    | None -> rs
-    | Some i -> List.filter (fun r -> Int.equal r.r_index i) rs
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "span forest: %d spans, %d rounds, depth %d\n"
-       (n_spans forest) (List.length rs) (depth forest));
-  List.iter
-    (fun r ->
-      let total = round_extent r in
-      let rows =
-        List.filter (matches_phase phase) (phase_rows r.r_roots)
-        |> List.map (fun (name, count, ext, self) ->
-               [
-                 name;
-                 string_of_int count;
-                 Report.float_cell ext;
-                 Report.float_cell self;
-                 (if Float.compare total 0.0 > 0 then
-                    Report.percent_cell (ext /. total)
-                  else "-");
-               ])
-      in
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf
-        (Report.table
-           ~title:
-             (Printf.sprintf "round %d (sim-time %s)" r.r_index
-                (Report.float_cell total))
-           ~header:[ "span"; "count"; "time"; "self"; "share" ]
-           rows);
-      match round_critical_path r with
-      | [] -> ()
-      | path ->
-        Buffer.add_string buf
-          (Printf.sprintf "critical path: %s\n" (path_to_string path)))
-    rs;
-  Buffer.contents buf
+  let n_spans, n_rounds, rows, points, hops = kept ?phase ?round forest in
+  String.concat "\n"
+    ((Printf.sprintf "trace: %d spans, %d point events, %d round(s)\n" n_spans
+        (n_points points) n_rounds
+     :: List.filter_map span_table rows)
+    @ (match points with
+      | [] -> []
+      | _ ->
+        [
+          Report.table ~title:"Point events" ~header:[ "event"; "count" ]
+            (List.map (fun (name, n) -> [ name; string_of_int n ]) points);
+        ])
+    @ match hops with [] -> [] | _ -> [ hop_table hops ])
 
-(* Machine-readable report: one flat JSON object per line, floats in
-   the canonical round-tripping spelling so the output is byte-stable. *)
 let to_jsonl ?phase ?round forest =
-  let buf = Buffer.create 1024 in
-  let rs = rounds forest in
-  let rs =
-    match round with
-    | None -> rs
-    | Some i -> List.filter (fun r -> Int.equal r.r_index i) rs
+  let n_spans, n_rounds, rows, points, hops = kept ?phase ?round forest in
+  let int i = Trace.Scalar (Trace.Int i)
+  and str s = Trace.Scalar (Trace.Str s)
+  and float f = Trace.Scalar (Trace.Float f) in
+  let span_line i row =
+    [
+      ("k", str "span");
+      ("round", int i);
+      ("name", str row.name);
+      ("count", int row.count);
+      ("points", int row.points);
+      ( "totals",
+        Trace.Nested (List.map (fun (k, v) -> (k, Trace.Float v)) row.totals) );
+    ]
   in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"k\":\"forest\",\"spans\":%d,\"rounds\":%d,\"depth\":%d}\n"
-       (n_spans forest) (List.length rs) (depth forest));
-  List.iter
-    (fun r ->
-      let path = round_critical_path r in
-      let crit =
-        String.concat ">" (List.map (fun n -> n.nd_name) path)
-      in
-      let crit_time =
-        match path with [] -> 0.0 | n :: _ -> extent n
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"k\":\"round\",\"round\":%d,\"time\":%s,\"crit\":\"%s\",\"crit_time\":%s}\n"
-           r.r_index
-           (Trace.float_to_string (round_extent r))
-           crit
-           (Trace.float_to_string crit_time));
-      List.iter
-        (fun (name, count, ext, self) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"k\":\"phase\",\"round\":%d,\"name\":\"%s\",\"count\":%d,\"time\":%s,\"self\":%s}\n"
-               r.r_index name count
-               (Trace.float_to_string ext)
-               (Trace.float_to_string self)))
-        (List.filter (matches_phase phase) (phase_rows r.r_roots)))
-    rs;
-  Buffer.contents buf
+  let hop_lines (mode, h) =
+    List.map
+      (fun (b, w) ->
+        [ ("k", str "hops"); ("mode", str mode); ("hops", int b); ("load", float w) ])
+      (Histogram.bins h)
+  in
+  [
+    ("k", str "trace");
+    ("spans", int n_spans);
+    ("points", int (n_points points));
+    ("rounds", int n_rounds);
+  ]
+  :: List.concat_map (fun (i, rows) -> List.map (span_line i) rows) rows
+  @ List.map
+      (fun (name, n) -> [ ("k", str "point"); ("name", str name); ("count", int n) ])
+      points
+  @ List.concat_map hop_lines hops
+  |> List.map (fun fields -> Trace.flat_to_line fields ^ "\n")
+  |> String.concat ""

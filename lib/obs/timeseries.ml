@@ -194,58 +194,6 @@ let write t ~path =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_jsonl t))
 
-let num fields k =
-  match List.assoc_opt k fields with
-  | Some (Trace.Scalar (Trace.Int i)) -> Ok (float_of_int i)
-  | Some (Trace.Scalar (Trace.Float f)) -> Ok f
-  | Some _ -> Error (Printf.sprintf "field %S is not a number" k)
-  | None -> Error (Printf.sprintf "missing field %S" k)
-
-let ( let* ) = Result.bind
-
-let sample_of_fields fields =
-  let* round = num fields "round" in
-  let* time = num fields "t" in
-  let* live = num fields "live" in
-  let* mx = num fields "max" in
-  let* fair = num fields "fair" in
-  let* ratio = num fields "ratio" in
-  let* gini = num fields "gini" in
-  let* over = num fields "over" in
-  let* eps = num fields "eps" in
-  let* moved = num fields "moved" in
-  let* cum = num fields "cum" in
-  let* load = num fields "load" in
-  Ok
-    {
-      ts_round = int_of_float round;
-      ts_time = time;
-      ts_live = int_of_float live;
-      ts_max = mx;
-      ts_fair = fair;
-      ts_ratio = ratio;
-      ts_gini = gini;
-      ts_over = over;
-      ts_eps = eps;
-      ts_moved = moved;
-      ts_cum = cum;
-      ts_load = load;
-    }
-
-let parse_jsonl source =
-  let lines = String.split_on_char '\n' source in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | "" :: rest -> go (lineno + 1) acc rest
-    | line :: rest -> (
-      match
-        Result.bind (Trace.parse_flat_line line) sample_of_fields
-      with
-      | Ok s -> go (lineno + 1) (s :: acc) rest
-      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-  in
-  go 1 [] lines
-
 (* ---- rendering --------------------------------------------------------- *)
 
 let render samples =

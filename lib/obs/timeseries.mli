@@ -89,7 +89,6 @@ val jsonl_of_samples : sample list -> string
 val to_jsonl : t -> string
 val digest : t -> string
 val write : t -> path:string -> unit
-val parse_jsonl : string -> (sample list, string) result
 
 val render : sample list -> string
 (** Aligned table of the series followed by the verdict line. *)

@@ -15,8 +15,7 @@ type ev = {
 type span = { sp_id : int; sp_name : string }
 
 (* The sink writes schema v2: a {"v":2} header line, and a "parent"
-   field on Begin events.  The reader also accepts header-less v1
-   files, which predate parent ids. *)
+   field on Begin events.  The reader accepts nothing else. *)
 let schema_version = 2
 
 type t = {
@@ -162,31 +161,44 @@ let kind_to_string = function
   | Begin -> "begin"
   | End -> "end"
 
-let add_event buf e =
-  Buffer.add_string buf "{\"t\":";
-  Buffer.add_string buf (float_to_string e.time);
-  Buffer.add_string buf ",\"seq\":";
-  Buffer.add_string buf (string_of_int e.seq);
-  Buffer.add_string buf ",\"kind\":\"";
-  Buffer.add_string buf (kind_to_string e.kind);
-  Buffer.add_string buf "\",\"name\":";
-  add_json_string buf e.name;
-  Buffer.add_string buf ",\"span\":";
-  Buffer.add_string buf (string_of_int e.span);
-  (match e.kind with
-  | Begin ->
-    Buffer.add_string buf ",\"parent\":";
-    Buffer.add_string buf (string_of_int e.parent)
-  | Point | End -> ());
-  Buffer.add_string buf ",\"attrs\":{";
+(* The one-object-per-line subset every JSONL sink here speaks: each
+   field is a scalar or one level of nested object. *)
+type flat = Scalar of value | Nested of (string * value) list
+
+let add_object buf add fields =
+  Buffer.add_char buf '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
       add_json_string buf k;
       Buffer.add_char buf ':';
-      add_value buf v)
-    e.attrs;
-  Buffer.add_string buf "}}\n"
+      add buf v)
+    fields;
+  Buffer.add_char buf '}'
+
+let add_flat buf = function
+  | Scalar v -> add_value buf v
+  | Nested kvs -> add_object buf add_value kvs
+
+let flat_to_line fields =
+  let buf = Buffer.create 128 in
+  add_object buf add_flat fields;
+  Buffer.contents buf
+
+let add_event buf e =
+  add_object buf add_flat
+    ([
+       ("t", Scalar (Float e.time));
+       ("seq", Scalar (Int e.seq));
+       ("kind", Scalar (Str (kind_to_string e.kind)));
+       ("name", Scalar (Str e.name));
+       ("span", Scalar (Int e.span));
+     ]
+    @ (match e.kind with
+      | Begin -> [ ("parent", Scalar (Int e.parent)) ]
+      | Point | End -> [])
+    @ [ ("attrs", Nested e.attrs) ]);
+  Buffer.add_char buf '\n'
 
 let jsonl_of_events evs =
   let buf = Buffer.create (256 * (List.length evs + 1)) in
@@ -345,12 +357,6 @@ let num_of_json name = function
 
 (* ---- generic flat-line view --------------------------------------------- *)
 
-(* The same one-object-per-line subset, exposed for the other JSONL
-   sinks built on this format (Timeseries samples, Benchgate records):
-   each field is a scalar or one level of nested object. *)
-
-type flat = Scalar of value | Nested of (string * value) list
-
 let flat_of_json = function
   | J_obj kvs -> Nested (List.map (fun (k, v) -> (k, value_of_json v)) kvs)
   | j -> Scalar (value_of_json j)
@@ -383,9 +389,9 @@ let ev_of_json = function
       | _ -> raise (Bad "field \"attrs\" is not an object")
     in
     let parent =
-      match List.assoc_opt "parent" fields with
-      | Some j -> int_of_float (num_of_json "parent" j)
-      | None -> -1
+      match kind with
+      | Begin -> int_of_float (num_of_json "parent" (field fields "parent"))
+      | Point | End -> -1
     in
     {
       time = num_of_json "t" (field fields "t");
@@ -398,36 +404,32 @@ let ev_of_json = function
     }
   | _ -> raise (Bad "line is not an object")
 
-let parse_jsonl_full source =
-  let lines = String.split_on_char '\n' source in
+let parse_jsonl source =
   let lineno = ref 0 in
-  let version = ref 1 in
-  let saw_content = ref false in
+  let header = ref false in
   match
     List.filter_map
       (fun line ->
         incr lineno;
         if String.length line = 0 then None
         else
-          let j = parse_line line in
-          match j with
-          | J_obj [ ("v", v) ] when not !saw_content ->
-            saw_content := true;
+          match parse_line line with
+          | J_obj [ ("v", v) ] when not !header ->
             let v = int_of_float (num_of_json "v" v) in
-            if v < 1 || v > schema_version then
+            if v <> schema_version then
               raise (Bad (Printf.sprintf "unsupported trace version %d" v));
-            version := v;
+            header := true;
             None
-          | _ ->
-            saw_content := true;
-            Some (ev_of_json j))
-      lines
+          | _ when not !header ->
+            raise
+              (Bad
+                 (Printf.sprintf "missing {\"v\":%d} header" schema_version))
+          | j -> Some (ev_of_json j))
+      (String.split_on_char '\n' source)
   with
-  | evs -> Ok (!version, evs)
+  | evs -> Ok evs
   | exception Bad msg -> Error (Printf.sprintf "line %d: %s" !lineno msg)
   | exception Failure msg -> Error (Printf.sprintf "line %d: %s" !lineno msg)
-
-let parse_jsonl source = Result.map snd (parse_jsonl_full source)
 
 let read_file path =
   match open_in_bin path with

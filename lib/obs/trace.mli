@@ -8,11 +8,18 @@
     and the JSONL sink is byte-identical across runs with the same
     seed: [digest] is a replay check in one call.
 
+    The [t] stamp is a logical clock, not a measurement.  The
+    controller's phase barriers lay it out (each phase ends at a fixed
+    fraction of a round's unit), and under an engine it restarts with
+    every task's engine.  It orders events and places a bare phase root
+    in its round; it is not a duration, so no reader may take
+    differences of it.
+
     Span naming convention (see DESIGN.md §8): phase spans are
     ["phase/<name>"] (e.g. ["phase/vsa"]), point events are
     ["<subsystem>/<event>"] (e.g. ["vst/transfer"], ["fault/drop"],
     ["kt/replant"]).  Point events are attributed to the innermost
-    open span, which is how {!Summary} groups per-transfer hop costs
+    open span, which is how {!Spantree} groups per-transfer hop costs
     by the round mode recorded on the enclosing ["phase/vst"] span. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
@@ -20,7 +27,7 @@ type value = Bool of bool | Int of int | Float of float | Str of string
 type kind = Point | Begin | End
 
 type ev = {
-  time : float;  (** simulated time at recording *)
+  time : float;  (** logical time at recording (see above: not a duration) *)
   seq : int;  (** recording order, 0-based, gap-free *)
   kind : kind;
   name : string;
@@ -30,10 +37,7 @@ type ev = {
   parent : int;
       (** [Begin]: the id of the enclosing open span at the moment the
           span was opened, or [-1] for a root span.  [Point]/[End]
-          carry [-1] (a point's enclosing span is already in [span]).
-          Traces parsed from header-less v1 JSONL carry [-1]
-          everywhere; the span forest is then recovered by stack
-          replay (see {!Spantree}). *)
+          carry [-1] (a point's enclosing span is already in [span]). *)
   attrs : (string * value) list;  (** in recording order *)
 }
 
@@ -119,25 +123,26 @@ val digest : t -> string
 (** Hex digest of {!to_jsonl} — the replay-equality check. *)
 
 val parse_jsonl : string -> (ev list, string) result
-(** Inverse of {!to_jsonl} (empty lines skipped, version header
-    consumed when present). *)
-
-val parse_jsonl_full : string -> (int * ev list, string) result
-(** Like {!parse_jsonl} but also returns the schema version the
-    source declared: 1 for a header-less file (the pre-parent-id
-    encoding, still readable), 2 otherwise. *)
+(** Inverse of {!to_jsonl}: empty lines are skipped, the first
+    non-empty line must be the [{"v":2}] header, and every [Begin]
+    event must carry its parent.  Empty input gives [[]]. *)
 
 val load_jsonl : string -> (ev list, string) result
 (** {!parse_jsonl} on a file's contents.  [Error] carries a one-line
     diagnostic (missing file, or the offending line number) — callers
-    such as [lb_sim trace-summary] turn it into exit code 1. *)
+    such as [lb_sim trace-analyze] turn it into exit code 1. *)
 
 (** {1 Flat-line JSON view}
 
     The sink's one-object-per-line subset, exposed for the sibling
     JSONL formats built on it ({!Timeseries} samples, {!Benchgate}
-    records): each field is a scalar or one level of nested object. *)
+    records, the {!Spantree} report): each field is a scalar or one
+    level of nested object. *)
 
 type flat = Scalar of value | Nested of (string * value) list
+
+val flat_to_line : (string * flat) list -> string
+(** One object, no trailing newline, strings escaped and floats in
+    {!float_to_string} form — the writer {!parse_flat_line} inverts. *)
 
 val parse_flat_line : string -> ((string * flat) list, string) result

@@ -122,6 +122,8 @@ let create ~seed config =
     obs = None;
   }
 
+let or_none = function Some t -> t | None -> create ~seed:0 none
+
 let attach_obs t obs = t.obs <- Some obs
 
 let obs_event t name attrs =

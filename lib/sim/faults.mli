@@ -78,6 +78,12 @@ type t
 val create : seed:int -> config -> t
 (** Plans with equal seeds and configs inject identical faults. *)
 
+val or_none : t option -> t
+(** The given plan, or a fresh all-zero one built from {!none}: its
+    {!send} returns [Delivered 1] without a draw, {!failed_landmarks}
+    is [[]], and no counter moves — so an optional plan needs no
+    [None] branch and a plan-less run stays byte-identical. *)
+
 val config : t -> config
 
 val enabled : t -> bool

@@ -1,10 +1,9 @@
 (* lib/obs unit tests: trace event recording (span stack, point
    attribution, clocks), the JSONL sink and its inverse, digest
-   stability, the metrics registry, and the trace-summary tables. *)
+   stability, the metrics registry, and the trace report tables. *)
 
 module Trace = P2plb_obs.Trace
 module Registry = P2plb_obs.Registry
-module Summary = P2plb_obs.Summary
 module Obs = P2plb_obs.Obs
 module Spantree = P2plb_obs.Spantree
 module Timeseries = P2plb_obs.Timeseries
@@ -187,10 +186,9 @@ let test_v2_emit_parse_reemit () =
   let s = Trace.to_jsonl t in
   check Alcotest.bool "v2 header on the first line" true
     (String.starts_with ~prefix:"{\"v\":2}\n" s);
-  match Trace.parse_jsonl_full s with
-  | Error e -> Alcotest.fail ("parse_jsonl_full failed: " ^ e)
-  | Ok (v, evs) ->
-    check Alcotest.int "version round-trips" 2 v;
+  match Trace.parse_jsonl s with
+  | Error e -> Alcotest.fail ("parse_jsonl failed: " ^ e)
+  | Ok evs ->
     check Alcotest.string "emit -> parse -> re-emit is byte-identical" s
       (Trace.jsonl_of_events evs);
     let parent_of name =
@@ -204,82 +202,87 @@ let test_v2_emit_parse_reemit () =
     check Alcotest.int "phase/kt nests under round" 0 (parent_of "phase/kt");
     check Alcotest.int "phase/vst nests under round" 0 (parent_of "phase/vst")
 
-let test_v1_trace_still_parses () =
-  (* a header-less v1 file: no "v" line and no "parent" fields *)
-  let v1 =
-    String.concat "\n"
-      [
-        {|{"t":0,"seq":0,"kind":"begin","name":"round","span":0,"attrs":{"index":0}}|};
-        {|{"t":0.2,"seq":1,"kind":"begin","name":"phase/vst","span":1,"attrs":{}}|};
-        {|{"t":0.2,"seq":2,"kind":"point","name":"vst/transfer","span":1,"attrs":{"hops":1}}|};
-        {|{"t":1,"seq":3,"kind":"end","name":"phase/vst","span":1,"attrs":{}}|};
-        {|{"t":1,"seq":4,"kind":"end","name":"round","span":0,"attrs":{}}|};
-      ]
+let test_header_less_rejected () =
+  (* the reader speaks schema v2 only: no header, or another version,
+     is a line-numbered error *)
+  let body =
+    {|{"t":0,"seq":0,"kind":"begin","name":"round","span":0,"parent":-1,"attrs":{}}|}
   in
-  match Trace.parse_jsonl_full v1 with
-  | Error e -> Alcotest.fail ("v1 trace rejected: " ^ e)
-  | Ok (v, evs) -> (
-    check Alcotest.int "header-less means v1" 1 v;
-    check Alcotest.int "five events" 5 (List.length evs);
-    check Alcotest.bool "no parent ids" true
-      (List.for_all (fun ev -> ev.Trace.parent = -1) evs);
-    match Spantree.of_events evs with
-    | Error e -> Alcotest.fail ("v1 span forest: " ^ e)
-    | Ok roots ->
-      check Alcotest.int "one root" 1 (List.length roots);
-      check Alcotest.int "nesting recovered by stack replay" 2
-        (Spantree.depth roots))
+  List.iter
+    (fun (what, src) ->
+      match Trace.parse_jsonl src with
+      | Ok _ -> Alcotest.fail (what ^ " accepted")
+      | Error e ->
+        check Alcotest.bool
+          (Printf.sprintf "%s: diagnostic names line 1 (%S)" what e)
+          true (str_contains e "line 1"))
+    [ ("header-less", body); ("version 1", "{\"v\":1}\n" ^ body) ]
+
+let forest_of t =
+  match Spantree.of_events (Trace.events t) with
+  | Ok f -> f
+  | Error e -> Alcotest.fail ("of_events failed: " ^ e)
 
 let test_spantree_forest () =
-  let t = build_v2_trace () in
-  match Spantree.of_events (Trace.events t) with
-  | Error e -> Alcotest.fail ("of_events failed: " ^ e)
-  | Ok roots ->
-    check Alcotest.int "one root" 1 (List.length roots);
-    check Alcotest.int "three spans" 3 (Spantree.n_spans roots);
-    check Alcotest.int "depth two" 2 (Spantree.depth roots);
-    let root = List.hd roots in
+  let f = forest_of (build_v2_trace ()) in
+  (match f.Spantree.roots with
+  | [ root ] ->
     check Alcotest.string "root is the round" "round" root.Spantree.nd_name;
-    check Alcotest.int "two phase children" 2
-      (List.length root.Spantree.nd_children);
-    check feq9 "round extent" 1.0 (Spantree.extent root);
-    check feq9 "round self-time (gap before phase/kt)" 0.2
-      (Spantree.self_time root);
-    (match Spantree.critical_path root with
-    | [ a; b ] ->
-      check Alcotest.string "path root" "round" a.Spantree.nd_name;
-      check Alcotest.string "path follows the longest phase" "phase/vst"
-        b.Spantree.nd_name;
-      check Alcotest.int "the vst point rode along" 1 b.Spantree.nd_points
-    | p ->
-      Alcotest.fail
-        (Printf.sprintf "critical path has %d nodes" (List.length p)));
-    (match Spantree.rounds roots with
-    | [ r ] ->
-      check Alcotest.int "round index from the attr" 0 r.Spantree.r_index;
-      check feq9 "round extent via grouping" 1.0 (Spantree.round_extent r)
-    | rs -> Alcotest.fail (Printf.sprintf "%d rounds" (List.length rs)));
-    (match Spantree.phase_rows roots with
-    | [ (n1, 1, _, _); (n2, 1, _, _); (n3, 1, _, _) ] ->
-      check
-        Alcotest.(list string)
-        "phase rows sorted by name"
-        [ "phase/kt"; "phase/vst"; "round" ]
-        [ n1; n2; n3 ]
-    | rows ->
-      Alcotest.fail (Printf.sprintf "%d phase rows" (List.length rows)))
+    check
+      Alcotest.(list string)
+      "phase children in begin order" [ "phase/kt"; "phase/vst" ]
+      (List.map (fun n -> n.Spantree.nd_name) root.Spantree.nd_children);
+    check Alcotest.int "the vst point rode along" 1
+      (List.length (List.nth root.Spantree.nd_children 1).Spantree.nd_points)
+  | roots -> Alcotest.fail (Printf.sprintf "%d roots" (List.length roots)));
+  match Spantree.rounds f with
+  | [ r ] ->
+    check Alcotest.int "round index from the attr" 0 r.Spantree.r_index;
+    check
+      Alcotest.(list (pair string int))
+      "span rows sorted by name, with point counts"
+      [ ("phase/kt", 0); ("phase/vst", 1); ("round", 0) ]
+      (List.map
+         (fun row -> (row.Spantree.name, row.Spantree.points))
+         (Spantree.span_rows r))
+  | rs -> Alcotest.fail (Printf.sprintf "%d rounds" (List.length rs))
 
 let test_spantree_jsonl_deterministic () =
-  let render_once () =
-    let t = build_v2_trace () in
-    match Spantree.of_events (Trace.events t) with
-    | Error e -> Alcotest.fail e
-    | Ok roots -> Spantree.to_jsonl roots
-  in
+  let render_once () = Spantree.to_jsonl (forest_of (build_v2_trace ())) in
   let a = render_once () in
   check Alcotest.string "byte-identical across builds" a (render_once ());
-  check Alcotest.bool "carries the critical path" true
-    (str_contains a "\"crit\":")
+  check Alcotest.bool "carries the round's transfers total" true
+    (str_contains a "\"name\":\"round\",\"count\":1,\"points\":0,\"totals\":{\"index\":0,\"transfers\":1}")
+
+let test_spantree_jsonl_escapes_names () =
+  let t = Trace.create () in
+  let sp = Trace.begin_span t "ph\"x" ~attrs:[ ("mode", Trace.Str "a\\b") ] in
+  Trace.point t "vst/transfer"
+    ~attrs:[ ("hops", Trace.Int 1); ("load", Trace.Float 0.5) ];
+  Trace.point t "pt\\\"y";
+  Trace.end_span t sp ~attrs:[ ("k\"ey", Trace.Int 1) ];
+  let report = Spantree.to_jsonl (forest_of t) in
+  let lines =
+    List.filter (fun l -> String.length l > 0) (String.split_on_char '\n' report)
+  in
+  check Alcotest.int "trace, span, two point and one hops line" 5
+    (List.length lines);
+  List.iter
+    (fun line ->
+      match Trace.parse_flat_line line with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Printf.sprintf "%S does not parse: %s" line e))
+    lines;
+  check Alcotest.bool "the span name survives the trip" true
+    (List.exists
+       (fun line ->
+         match Trace.parse_flat_line line with
+         | Ok fields -> (
+           match List.assoc_opt "name" fields with
+           | Some (Trace.Scalar (Trace.Str n)) -> String.equal n "ph\"x"
+           | _ -> false)
+         | Error _ -> false)
+       lines)
 
 let test_spantree_rejects_unbalanced () =
   let t = Trace.create () in
@@ -363,18 +366,19 @@ let test_timeseries_convergence () =
     check feq "final ratio reported" 2.0 n_final_ratio
   | _ -> Alcotest.fail "expected Not_converged"
 
-let test_timeseries_jsonl_round_trip () =
+let test_timeseries_jsonl_digest () =
   let ts = build_series () in
   check Alcotest.string "digest deterministic across builds"
     (Timeseries.digest ts)
     (Timeseries.digest (build_series ()));
   let s = Timeseries.to_jsonl ts in
-  match Timeseries.parse_jsonl s with
-  | Error e -> Alcotest.fail ("parse_jsonl failed: " ^ e)
-  | Ok samples ->
-    check Alcotest.int "both samples back" 2 (List.length samples);
-    check Alcotest.string "emit -> parse -> re-emit is byte-identical" s
-      (Timeseries.jsonl_of_samples samples)
+  check Alcotest.string "sink is the sample encoding" s
+    (Timeseries.jsonl_of_samples (Timeseries.samples ts));
+  check Alcotest.int "one flat line per sample" 2
+    (List.length
+       (List.filter
+          (fun l -> String.length l > 0 && Result.is_ok (Trace.parse_flat_line l))
+          (String.split_on_char '\n' s)))
 
 (* ---- bench records & the gate ------------------------------------------- *)
 
@@ -484,21 +488,6 @@ let test_benchgate_diff () =
        (fun r -> String.length r >= 10 && String.sub r 0 10 = "job counts")
        (regressions (diff jobs4)))
 
-let test_benchgate_legacy_meta_defaults () =
-  (* records written before the parallel layer carry no jobs/wall_s/
-     speedup fields; they must parse as a sequential run so the
-     committed baseline stays valid without a schema bump *)
-  let legacy =
-    "{\"k\":\"meta\",\"schema\":1,\"rev\":\"old\",\"nodes\":256,\"graphs\":1,\"seed\":7,\"smoke\":true}\n\
-     {\"k\":\"experiment\",\"name\":\"smoke\",\"cpu_s\":1,\"alloc_bytes\":1,\"rounds\":1,\"conv_round\":1,\"final_ratio\":1,\"moved_frac\":0,\"transfers\":0,\"messages\":0,\"series_digest\":\"d\"}\n"
-  in
-  match Benchgate.parse legacy with
-  | Error e -> Alcotest.fail ("legacy record rejected: " ^ e)
-  | Ok f ->
-    check Alcotest.int "jobs defaults to 1" 1 f.Benchgate.f_meta.Benchgate.m_jobs;
-    check feq "wall_s defaults to 0" 0.0 f.Benchgate.f_meta.Benchgate.m_wall_s;
-    check feq "speedup defaults to 1" 1.0 f.Benchgate.f_meta.Benchgate.m_speedup
-
 (* ---- registry ----------------------------------------------------------- *)
 
 let test_registry_counters_gauges () =
@@ -563,9 +552,9 @@ let test_registry_dump_sorted_and_stable () =
     Alcotest.(list string)
     "rows sorted by name" (List.sort String.compare names) names
 
-(* ---- summary ------------------------------------------------------------ *)
+(* ---- trace report ------------------------------------------------------- *)
 
-let synthetic_vst_trace () =
+let synthetic_vst_forest () =
   let t = Trace.create () in
   Trace.set_time t 0.0;
   let sp =
@@ -584,27 +573,31 @@ let synthetic_vst_trace () =
     ~attrs:[ ("hops", Trace.Int 5); ("load", Trace.Float 2.0) ];
   Trace.set_time t 2.0;
   Trace.end_span t sp;
-  Trace.events t
+  forest_of t
+
+let synthetic_rounds () = Spantree.rounds (synthetic_vst_forest ())
 
 let test_summary_tables () =
-  let evs = synthetic_vst_trace () in
-  (match Summary.span_table evs with
-  | [ (name, count, extent, _) ] ->
-    check Alcotest.string "span name" "phase/vst" name;
-    check Alcotest.int "two vst phases" 2 count;
-    check feq "summed extent" 2.0 extent
-  | rows ->
-    Alcotest.fail (Printf.sprintf "expected one span row, got %d"
-                     (List.length rows)));
+  let rs = synthetic_rounds () in
+  check
+    Alcotest.(list (pair int (list (pair string int))))
+    "one vst span per round"
+    [ (0, [ ("phase/vst", 1) ]); (1, [ ("phase/vst", 1) ]) ]
+    (List.map
+       (fun r ->
+         ( r.Spantree.r_index,
+           List.map
+             (fun row -> (row.Spantree.name, row.Spantree.count))
+             (Spantree.span_rows r) ))
+       rs);
   check
     Alcotest.(list (pair string int))
     "point counts"
     [ ("vst/transfer", 3) ]
-    (Summary.point_counts evs)
+    (Spantree.point_counts rs)
 
 let test_summary_hop_histograms () =
-  let evs = synthetic_vst_trace () in
-  let hists = Summary.hop_histograms evs in
+  let hists = Spantree.hop_histograms (synthetic_rounds ()) in
   check
     Alcotest.(list string)
     "one histogram per mode, sorted" [ "aware"; "ignorant" ]
@@ -617,19 +610,57 @@ let test_summary_hop_histograms () =
   check Alcotest.int "ignorant max bin" 5 (Histogram.max_bin ignorant)
 
 let test_summary_render_mentions_everything () =
-  let out = Summary.render (synthetic_vst_trace ()) in
-  let contains sub =
-    let n = String.length out and m = String.length sub in
-    let rec go i =
-      i + m <= n && (String.equal (String.sub out i m) sub || go (i + 1))
-    in
-    go 0
-  in
+  let f = synthetic_vst_forest () in
+  let out = Spantree.render f in
   List.iter
     (fun sub ->
       check Alcotest.bool (Printf.sprintf "render mentions %S" sub) true
-        (contains sub))
-    [ "phase/vst"; "vst/transfer"; "aware"; "ignorant" ]
+        (str_contains out sub))
+    [ "round 0"; "round 1"; "phase/vst"; "vst/transfer"; "aware"; "ignorant" ];
+  check Alcotest.bool "--round 1 drops round 0" false
+    (str_contains (Spantree.render ~round:1 f) "round 0")
+
+(* ---- phase cost vs the registry ----------------------------------------- *)
+
+let test_phase_messages_match_registry () =
+  (* Both figures come from Ktree.messages: a round's phase rows carry
+     its message cost in their "messages" totals, and the controller
+     adds the same count to round/messages once per round. *)
+  let module Scenario = P2plb.Scenario in
+  let module Multiround = P2plb.Multiround in
+  let obs = Obs.create () in
+  let s =
+    Scenario.build ~seed:1 { Scenario.default with Scenario.n_nodes = 128 }
+  in
+  let increments = ref [] and last = ref 0 in
+  let snapshot _ =
+    let now =
+      Option.value ~default:0
+        (Registry.find_counter (Obs.metrics obs) "round/messages")
+    in
+    increments := (now - !last) :: !increments;
+    last := now;
+    Ok ()
+  in
+  (* no slack, so the first round leaves heavy nodes and a second runs *)
+  let config =
+    { P2plb.Controller.default with P2plb.Controller.epsilon_rel = 0.0 }
+  in
+  ignore (Multiround.run ~config ~obs ~max_rounds:2 ~check:snapshot s);
+  let messages r =
+    List.fold_left
+      (fun acc row ->
+        match List.assoc_opt "messages" row.Spantree.totals with
+        | Some m -> acc + int_of_float m
+        | None -> acc)
+      0 (Spantree.span_rows r)
+  in
+  let sums = List.map messages (Spantree.rounds (forest_of (Obs.trace obs))) in
+  check Alcotest.int "a 2-round run" 2 (List.length sums);
+  check
+    Alcotest.(list int)
+    "phase messages sum to the round/messages increment"
+    (List.rev !increments) sums
 
 (* ---- bundle ------------------------------------------------------------- *)
 
@@ -643,8 +674,8 @@ let test_obs_bundle () =
     "registry reachable" (Some 1)
     (Registry.find_counter (Obs.metrics o) "c")
 
-(* ---- trace-summary input failures ---------------------------------------
-   `lb_sim trace-summary` (and trace-analyze) fail through
+(* ---- trace-analyze input failures ---------------------------------------
+   `lb_sim trace-analyze` fails through
    Trace.load_jsonl; these pin the loader's contract so the CLI's
    exit-1 paths have something concrete to stand on. *)
 
@@ -707,15 +738,17 @@ let () =
         [
           Alcotest.test_case "emit/parse/re-emit byte-identical" `Quick
             test_v2_emit_parse_reemit;
-          Alcotest.test_case "header-less v1 trace parses" `Quick
-            test_v1_trace_still_parses;
+          Alcotest.test_case "header-less trace rejected" `Quick
+            test_header_less_rejected;
         ] );
       ( "spantree",
         [
-          Alcotest.test_case "forest, critical path, rounds" `Quick
+          Alcotest.test_case "forest and rounds" `Quick
             test_spantree_forest;
           Alcotest.test_case "jsonl report deterministic" `Quick
             test_spantree_jsonl_deterministic;
+          Alcotest.test_case "jsonl report escapes names" `Quick
+            test_spantree_jsonl_escapes_names;
           Alcotest.test_case "unbalanced rejected" `Quick
             test_spantree_rejects_unbalanced;
           Alcotest.test_case "orphan parent rejected" `Quick
@@ -727,8 +760,8 @@ let () =
             test_timeseries_record;
           Alcotest.test_case "convergence detector" `Quick
             test_timeseries_convergence;
-          Alcotest.test_case "jsonl round trip & digest" `Quick
-            test_timeseries_jsonl_round_trip;
+          Alcotest.test_case "jsonl digest" `Quick
+            test_timeseries_jsonl_digest;
         ] );
       ( "benchgate",
         [
@@ -740,8 +773,6 @@ let () =
             test_benchgate_sim_digest_ignores_wall_clock;
           Alcotest.test_case "gate flags regressions" `Quick
             test_benchgate_diff;
-          Alcotest.test_case "legacy meta parses with defaults" `Quick
-            test_benchgate_legacy_meta_defaults;
         ] );
       ( "registry",
         [
@@ -760,6 +791,11 @@ let () =
             test_summary_hop_histograms;
           Alcotest.test_case "render" `Quick
             test_summary_render_mentions_everything;
+        ] );
+      ( "phase-cost",
+        [
+          Alcotest.test_case "phase messages match the registry" `Quick
+            test_phase_messages_match_registry;
         ] );
       ("bundle", [ Alcotest.test_case "obs bundle" `Quick test_obs_bundle ]);
       ( "loader",
