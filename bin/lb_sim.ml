@@ -26,6 +26,19 @@ let at_least_one flag v =
   end
   else v
 
+(* A network larger than its generated topology's end hosts is the
+   same kind of usage error: every topology-sized run goes through
+   this handler. *)
+let sized f =
+  match f () with
+  | x -> x
+  | exception P2plb.Scenario.Too_few_stubs { n_nodes; stub_vertices } ->
+    Printf.eprintf
+      "lb_sim: --nodes too large: %d overlay nodes need as many stub \
+       vertices, the topology has %d\n"
+      n_nodes stub_vertices;
+    exit 2
+
 let nodes_arg default =
   let doc = "Number of overlay (physical DHT) nodes." in
   Term.(
@@ -96,8 +109,9 @@ let rec mkdir_p dir =
 
 (* Runs [f] with an observability bundle when either sink is requested
    and flushes the sinks afterwards (even if [f] raises), creating
-   target directories as needed. *)
+   target directories as needed.  Size errors exit 2 ({!sized}). *)
 let sinked f (trace_out, metrics_out, series_out) =
+  sized @@ fun () ->
   match (trace_out, metrics_out, series_out) with
   | None, None, None -> f None
   | _ ->
@@ -270,6 +284,7 @@ let run_trace_analyze file phase round json =
 
 let run_convergence seed n_nodes max_rounds epsilon_rel chaos_seed json
     series_out =
+  sized @@ fun () ->
   let module Scenario = P2plb.Scenario in
   let module Controller = P2plb.Controller in
   let module Multiround = P2plb.Multiround in
@@ -349,8 +364,8 @@ let scale_cmd =
   in
   cmd "scale"
     "Scale tier: run the balancer to convergence at 32k/65k/131k nodes \
-     (distance accounting off — the hot paths, not the Dijkstra oracle, \
-     are under test) and report rounds, residual heavies, moved load."
+     (distance accounting off until this tier checks the proximity \
+     claims) and report rounds, residual heavies, moved load."
     Term.(const run_scale $ seed_arg $ sizes_arg $ rounds_arg $ pool_arg $ sink_arg)
 
 let all_cmd =

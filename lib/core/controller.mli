@@ -39,9 +39,9 @@ type config = {
       (** charge Chord routing hops for tree construction *)
   account_distance : bool;
       (** price committed transfers in underlay hops via the distance
-          oracle (default).  The scale tier turns this off: per-source
-          Dijkstra vectors over a 100k-vertex underlay would dominate
-          the run, and the balance metrics do not need them. *)
+          oracle (default).  The scale tier turns this off until it
+          checks the paper's proximity claims (ROADMAP item 3); the
+          balance metrics do not need the prices. *)
 }
 
 val default : config

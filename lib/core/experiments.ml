@@ -186,8 +186,8 @@ let proximity_run ?(pool = Par.sequential) ?obs ~seed ~graphs ~n_nodes ~topology
   (* One task per graph instance, running the aware then the ignorant
      mode (the historical iteration order) over one shared underlay:
      the topology, distance oracle and landmark space are built once
-     and donated to the second build, so each graph pays one Dijkstra
-     per distinct transfer source across both modes.  Results are
+     and donated to the second build, so each graph counts one oracle
+     probe per distinct transfer source across both modes.  Results are
      folded back in task-index order so histogram merges and the
      ceiling sum accumulate exactly as the sequential loop did. *)
   let results =
@@ -848,9 +848,9 @@ let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
         in
         let s = Scenario.build ~seed:(seed + (17 * i)) config in
         let expected_total = Dht.total_load s.Scenario.dht in
-        (* Underlay-hop pricing is off at this tier: per-source
-           Dijkstra vectors over a >100k-vertex graph would dominate
-           the run without informing the balance metrics. *)
+        (* Underlay-hop pricing stays off at this tier until it
+           checks the paper's proximity claims (ROADMAP item 3); the
+           balance metrics do not need it. *)
         let config =
           { Controller.default with Controller.account_distance = false }
         in

@@ -298,9 +298,9 @@ val scale_run :
     mutating DHT, checking {!Invariants.all} with load conservation
     after every round; [sc_stop] says why the run ended.
     Underlay-hop transfer pricing is disabled
-    ({!Controller.config.account_distance}): per-source Dijkstra
-    vectors over a >100k-vertex underlay would dominate the run
-    without informing the balance metrics.  Tasks fan out over
+    ({!Controller.config.account_distance}) until this tier checks
+    the paper's proximity claims (ROADMAP item 3); the balance metrics
+    do not need it.  Tasks fan out over
     [pool]; results are in task order (sizes major, workloads
     minor). *)
 

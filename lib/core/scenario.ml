@@ -31,6 +31,8 @@ type t = {
   config : config;
 }
 
+exception Too_few_stubs of { n_nodes : int; stub_vertices : int }
+
 let build ?base ~seed config =
   if config.n_nodes < 1 then invalid_arg "Scenario.build: n_nodes < 1";
   let master = Prng.create ~seed in
@@ -43,19 +45,32 @@ let build ?base ~seed config =
      [seed] and [config] (each on its own split stream), so a caller
      re-building the same scenario — e.g. the proximity experiments
      running aware and ignorant modes over one graph instance — can
-     donate them from a previous build.  The oracle's memoised
-     Dijkstra vectors then carry across runs: one probe per distinct
-     source per graph, not per mode. *)
-  let topo, oracle, base_space =
+     donate them from a previous build.  The donated oracle keeps its
+     probe count and memoised rows across runs: one probe per distinct
+     source per graph, not per mode.  Landmark vectors are measured on
+     the latency graph — what real RTT probes would see; transfer
+     costs stay on the hop graph.  The latency oracle is a separate
+     object, dropped after setup, so the hop oracle's probe count
+     measures balancing alone. *)
+  let topo, oracle, space =
     match base with
-    | Some b -> (b.topo, b.oracle, Some b.space)
+    | Some b -> (b.topo, b.oracle, b.space)
     | None ->
       let topo = Transit_stub.generate topo_rng config.topology in
-      (topo, Graph.Oracle.create topo.Transit_stub.graph, None)
+      let cluster = Transit_stub.stub_domain_map topo in
+      let latency = topo.Transit_stub.latency_graph in
+      let landmarks =
+        Landmark.select_random landmark_rng latency ~m:config.landmark_m
+      in
+      ( topo,
+        Graph.Oracle.create topo.Transit_stub.graph ~cluster,
+        Landmark.make_space (Graph.Oracle.create latency ~cluster) ~landmarks )
   in
   let stubs = topo.Transit_stub.stub_vertices in
   if Array.length stubs < config.n_nodes then
-    invalid_arg "Scenario.build: topology has fewer stub vertices than n_nodes";
+    raise
+      (Too_few_stubs
+         { n_nodes = config.n_nodes; stub_vertices = Array.length stubs });
   (* Overlay nodes are end hosts: distinct random stub vertices. *)
   let picks =
     Prng.sample_distinct member_rng ~n:config.n_nodes
@@ -69,18 +84,6 @@ let build ?base ~seed config =
         (Dht.join dht ~capacity ~underlay:stubs.(i) ~n_vs:config.vs_per_node))
     picks;
   Workload.assign_loads load_rng config.workload dht;
-  (* Landmark vectors are measured on the latency graph — what real
-     RTT probes would see; transfer costs stay on the hop graph. *)
-  let space =
-    match base_space with
-    | Some space -> space
-    | None ->
-      let landmarks =
-        Landmark.select_random landmark_rng topo.Transit_stub.latency_graph
-          ~m:config.landmark_m
-      in
-      Landmark.make_space topo.Transit_stub.latency_graph ~landmarks
-  in
   { rng = lb_rng; dht; topo; oracle; space; config }
 
 let join_nodes t n =

@@ -30,20 +30,30 @@ type t = {
   config : config;
 }
 
+exception Too_few_stubs of { n_nodes : int; stub_vertices : int }
+(** The generated topology has fewer stub vertices (end hosts) than the
+    requested overlay size.  A size error, not a bug: [lb_sim] reports it
+    as a usage error. *)
+
 val build : ?base:t -> seed:int -> config -> t
 (** Deterministic in [seed].  Overlay nodes attach to distinct stub
     vertices (end hosts); capacities follow the Gnutella profile;
-    loads are drawn per the workload config.  Requires the topology to
-    provide at least [n_nodes] stub vertices.
+    loads are drawn per the workload config.  Raises {!Too_few_stubs}
+    if the topology provides fewer than [n_nodes] stub vertices.
+
+    [oracle] is the exact hierarchical oracle over the hop graph
+    ({!Graph.Oracle}, clustered by stub domain); the landmark space is
+    read from a second, latency-graph oracle that is dropped after
+    setup, so [oracle]'s probe count starts at 0.
 
     [base] donates the underlay topology, distance oracle and landmark
     space of a previous build — valid only when that build used the
     same [seed] and [config], where those parts are identical anyway
     (each derives from its own split of the master stream).  Skipping
     their reconstruction does not perturb the membership, load or
-    load-balancing streams, and the shared oracle keeps its memoised
-    Dijkstra vectors across runs: one probe per distinct source per
-    graph instance, not per re-build. *)
+    load-balancing streams, and the shared oracle keeps its probe
+    count across runs: one probe per distinct source per graph
+    instance, not per re-build. *)
 
 val join_nodes : t -> int -> unit
 (** Churn: [join_nodes t n] adds [n] fresh nodes on random stub

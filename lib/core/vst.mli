@@ -103,8 +103,7 @@ val apply :
     [oracle] prices each committed transfer in underlay hops for the
     distance histogram.  Omitting it skips the shortest-path queries
     and books every transfer at distance 0 — the scale tier runs this
-    way, where per-source Dijkstra vectors over a 100k-vertex underlay
-    would dominate the run.
+    way until it checks the paper's proximity claims (ROADMAP item 3).
 
     [faults] supplies the protocol's fault draws: message loss and
     partition cuts for PREPARE and COMMIT, duplicated TRANSFERs and

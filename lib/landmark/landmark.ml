@@ -16,9 +16,14 @@ let select_random rng g ~m =
   if m < 1 then invalid_arg "Landmark.select_random: m < 1";
   Prng.sample_distinct rng ~n:m ~universe:(Graph.n_vertices g)
 
-let make_space g ~landmarks =
+let make_space oracle ~landmarks =
   if Array.length landmarks = 0 then invalid_arg "Landmark.make_space: no landmarks";
-  let dists = Array.map (fun l -> Graph.dijkstra g ~src:l) landmarks in
+  let n = Graph.Oracle.n_vertices oracle in
+  let dists =
+    Array.map
+      (fun l -> Array.init n (fun v -> Graph.Oracle.distance oracle ~src:l ~dst:v))
+      landmarks
+  in
   let d_max =
     Array.fold_left
       (fun acc row ->
@@ -29,7 +34,7 @@ let make_space g ~landmarks =
     Array.map
       (fun row ->
         let s = Array.copy row in
-        Array.sort Int.compare s;
+        Array.stable_sort Int.compare s;
         s)
       dists
   in

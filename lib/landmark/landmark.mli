@@ -22,8 +22,9 @@ type space
 val select_random : Prng.t -> Graph.t -> m:int -> int array
 (** [m] distinct landmark vertices chosen uniformly. *)
 
-val make_space : Graph.t -> landmarks:int array -> space
-(** Runs one Dijkstra per landmark. *)
+val make_space : Graph.Oracle.t -> landmarks:int array -> space
+(** Reads each landmark's distance to every vertex from the oracle
+    (built over the latency graph: landmark vectors are RTT-like). *)
 
 val m : space -> int
 val landmarks : space -> int array

@@ -19,13 +19,13 @@ val add_edge : builder -> int -> int -> weight:int -> unit
 val has_edge : builder -> int -> int -> bool
 
 val freeze : builder -> t
-(** Immutable adjacency-array form. *)
+(** Immutable form: compressed adjacency arrays. *)
 
 val n_vertices : t -> int
 val n_edges : t -> int
 
 val neighbors : t -> int -> (int * int) array
-(** [(vertex, weight)] pairs. *)
+(** [(vertex, weight)] pairs (a fresh array). *)
 
 val degree : t -> int -> int
 
@@ -38,20 +38,49 @@ val distance : t -> src:int -> dst:int -> int
 
 val is_connected : t -> bool
 
-(** Memoising distance oracle: one Dijkstra per distinct source,
-    cached.  Use when querying many pairs grouped by source. *)
+(** Exact hierarchical distance oracle for graphs made of a core and
+    single-homed clusters (a transit-stub underlay: the transit
+    vertices are the core, each stub domain a cluster).
+
+    Precondition, checked by {!create}: every cluster has exactly one
+    edge leaving it, from its {e gateway} to a core vertex, and no edge
+    joins two clusters.  Then, with weights [>= 0], every shortest path
+    decomposes exactly:
+    - between different clusters (or a cluster and the core) it climbs
+      from the source to its gateway, crosses the attachment edge and
+      the core, and descends the same way to the destination;
+    - inside one cluster it never leaves the cluster (leaving crosses
+      the one bridge twice);
+    - between two core vertices it stays in the core.
+
+    So [create] stores each vertex's distance up to its attachment
+    vertex (one Dijkstra per cluster) and {!distance} adds that to a
+    core-to-core distance, computed over the core subgraph once per
+    core source; same-cluster rows come from one Dijkstra over that
+    cluster per source.  Every answer equals {!dijkstra}'s.  With an
+    all-core map ([cluster.(v) = -1] everywhere) the core is the whole
+    graph: one full Dijkstra per distinct source, memoised. *)
 module Oracle : sig
   type graph := t
   type t
 
-  val create : graph -> t
+  val create : graph -> cluster:int array -> t
+  (** [cluster.(v)] is [-1] for a core vertex and the vertex's cluster
+      id ([>= 0]) otherwise.  Raises [Invalid_argument] if the map's
+      length is not the vertex count, or if a cluster has zero or
+      several edges leaving it, or an edge into another cluster. *)
+
   val distance : t -> src:int -> dst:int -> int
+  (** Exact shortest-path distance; [max_int] if unreachable. *)
+
+  val n_vertices : t -> int
 
   val sources_computed : t -> int
-  (** Distinct sources with a cached distance vector. *)
+  (** Distinct source vertices queried so far; equal to {!probes}. *)
 
   val probes : t -> int
-  (** Dijkstra runs actually performed — repeated queries from one
-      source cost exactly one probe, which is the memoisation claim
-      the oracle unit tests pin. *)
+  (** Distinct source vertices queried so far: [0] on a fresh oracle,
+      and repeated queries from one source add nothing.  Counts what a
+      per-source measurement would cost, independent of how much of
+      the answer the oracle had already memoised. *)
 end

@@ -250,3 +250,6 @@ let stub_domain_of t v =
   match t.roles.(v) with
   | Stub { domain; _ } -> Some domain
   | Transit _ -> None
+
+let stub_domain_map t =
+  Array.map (function Stub { domain; _ } -> domain | Transit _ -> -1) t.roles

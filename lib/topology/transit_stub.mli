@@ -14,6 +14,13 @@ module Prng = P2plb_prng.Prng
       domain a small random connected graph with one edge up to its
       transit node.
 
+    Single-homed stubs are load-bearing: {!Graph.Oracle} prices every
+    underlay distance from the fact that a stub domain has exactly one
+    edge leaving it and no edge to another stub domain.
+    [Graph.Oracle.create] rejects a map that breaks this, and
+    test_oracle's "random transit-stub: every pair = Dijkstra" property
+    guards it against the reference Dijkstra oracle.
+
     Edge weights follow the paper: interdomain hops (transit–transit
     across domains, stub–transit attachment) cost 3 latency units,
     intradomain hops cost 1. *)
@@ -107,3 +114,7 @@ val generate : Prng.t -> params -> t
 
 val stub_domain_of : t -> int -> int option
 (** The stub-domain id of a vertex, if it is a stub vertex. *)
+
+val stub_domain_map : t -> int array
+(** Per vertex: its stub-domain id, or [-1] for a transit vertex.  The
+    [~cluster] map of {!Graph.Oracle.create}, for either graph. *)

@@ -14,6 +14,9 @@ let line_graph n =
   done;
   Graph.freeze b
 
+(* An oracle with an all-core cluster map: plain Dijkstra rows. *)
+let flat g = Graph.Oracle.create g ~cluster:(Array.make (Graph.n_vertices g) (-1))
+
 let test_select_random_distinct () =
   let g = line_graph 100 in
   let rng = Prng.create ~seed:1 in
@@ -28,14 +31,14 @@ let test_select_random_distinct () =
 
 let test_vector_matches_dijkstra () =
   let g = line_graph 20 in
-  let sp = Landmark.make_space g ~landmarks:[| 0; 19 |] in
+  let sp = Landmark.make_space (flat g) ~landmarks:[| 0; 19 |] in
   check Alcotest.(array int) "vector of 5" [| 5; 14 |] (Landmark.vector sp 5);
   check Alcotest.int "m" 2 (Landmark.m sp);
   check Alcotest.int "d_max" 19 (Landmark.max_distance sp)
 
 let test_grid_coords_bounds () =
   let g = line_graph 50 in
-  let sp = Landmark.make_space g ~landmarks:[| 0; 25; 49 |] in
+  let sp = Landmark.make_space (flat g) ~landmarks:[| 0; 25; 49 |] in
   for v = 0 to 49 do
     Array.iter
       (fun c -> check Alcotest.bool "coord in range" true (c >= 0 && c < 8))
@@ -44,7 +47,7 @@ let test_grid_coords_bounds () =
 
 let test_grid_coords_monotone_on_line () =
   let g = line_graph 64 in
-  let sp = Landmark.make_space g ~landmarks:[| 0 |] in
+  let sp = Landmark.make_space (flat g) ~landmarks:[| 0 |] in
   let prev = ref (-1) in
   for v = 0 to 63 do
     let c = (Landmark.grid_coords sp ~order:3 v).(0) in
@@ -57,7 +60,7 @@ let test_grid_coords_monotone_on_line () =
 
 let test_quantile_binning_balances () =
   let g = line_graph 64 in
-  let sp = Landmark.make_space g ~landmarks:[| 0 |] in
+  let sp = Landmark.make_space (flat g) ~landmarks:[| 0 |] in
   let counts = Array.make 4 0 in
   for v = 0 to 63 do
     let c =
@@ -69,7 +72,7 @@ let test_quantile_binning_balances () =
 
 let test_same_vector_same_key () =
   let g = line_graph 30 in
-  let sp = Landmark.make_space g ~landmarks:[| 0; 29 |] in
+  let sp = Landmark.make_space (flat g) ~landmarks:[| 0; 29 |] in
   (* vertices equidistant from both landmarks share keys *)
   let k1 = Landmark.dht_key sp ~order:4 10 in
   let k1' = Landmark.dht_key sp ~order:4 10 in
@@ -81,7 +84,7 @@ let test_closer_vertices_closer_keys_on_line () =
      key is monotone in distance: ring distance reflects line
      distance. *)
   let g = line_graph 64 in
-  let sp = Landmark.make_space g ~landmarks:[| 0 |] in
+  let sp = Landmark.make_space (flat g) ~landmarks:[| 0 |] in
   let key v = Landmark.dht_key sp ~order:5 v in
   let d_near = abs (key 10 - key 12) in
   let d_far = abs (key 10 - key 60) in
@@ -96,7 +99,11 @@ let test_proximity_on_transit_stub () =
   in
   let t = TS.generate rng params in
   let lms = Landmark.select_random rng t.TS.latency_graph ~m:8 in
-  let sp = Landmark.make_space t.TS.latency_graph ~landmarks:lms in
+  let sp =
+    Landmark.make_space
+      (Graph.Oracle.create t.TS.latency_graph ~cluster:(TS.stub_domain_map t))
+      ~landmarks:lms
+  in
   let key v = Landmark.dht_key sp ~order:4 v in
   let ring_dist a b =
     let d = Id.distance_cw a b in
@@ -121,9 +128,44 @@ let test_proximity_on_transit_stub () =
   check Alcotest.bool "same-domain keys much closer" true
     (avg !same < avg !diff /. 2.0)
 
+(* The space a scenario builds — read from the hierarchical oracle over
+   the latency graph — has exactly the Dijkstra rows, so every vertex
+   gets the same key as under full per-landmark Dijkstra. *)
+let test_oracle_space_matches_dijkstra () =
+  List.iter
+    (fun (name, params) ->
+      let rng = Prng.create ~seed:5 in
+      let t = TS.generate rng params in
+      let g = t.TS.latency_graph in
+      let lms = Landmark.select_random rng g ~m:15 in
+      let sp =
+        Landmark.make_space
+          (Graph.Oracle.create g ~cluster:(TS.stub_domain_map t))
+          ~landmarks:lms
+      in
+      let reference = Landmark.make_space (flat g) ~landmarks:lms in
+      let rows = Array.map (fun l -> Graph.dijkstra g ~src:l) lms in
+      check Alcotest.int (name ^ " d_max") (Landmark.max_distance reference)
+        (Landmark.max_distance sp);
+      for v = 0 to Graph.n_vertices g - 1 do
+        check
+          Alcotest.(array int)
+          (Printf.sprintf "%s: vector of %d = Dijkstra" name v)
+          (Array.map (fun row -> row.(v)) rows)
+          (Landmark.vector sp v);
+        List.iter
+          (fun binning ->
+            let key s = Landmark.dht_key ~binning s ~order:4 v in
+            check Alcotest.int
+              (Printf.sprintf "%s: key of %d" name v)
+              (key reference) (key sp))
+          [ Landmark.Equal_width; Landmark.Quantile ]
+      done)
+    [ ("ts5k-large", TS.ts5k_large); ("scaled-4096", TS.scaled ~n:4096) ]
+
 let test_curve_options () =
   let g = line_graph 16 in
-  let sp = Landmark.make_space g ~landmarks:[| 0; 15 |] in
+  let sp = Landmark.make_space (flat g) ~landmarks:[| 0; 15 |] in
   let h = Landmark.hilbert_number ~curve:Hilbert.Hilbert sp ~order:3 7 in
   let m = Landmark.hilbert_number ~curve:Hilbert.Morton sp ~order:3 7 in
   let r = Landmark.hilbert_number ~curve:Hilbert.Row_major sp ~order:3 7 in
@@ -149,6 +191,8 @@ let () =
             test_grid_coords_monotone_on_line;
           Alcotest.test_case "quantile binning" `Quick
             test_quantile_binning_balances;
+          Alcotest.test_case "oracle space = dijkstra" `Slow
+            test_oracle_space_matches_dijkstra;
         ] );
       ( "keys",
         [

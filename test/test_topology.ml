@@ -72,9 +72,11 @@ let test_connectivity () =
   Graph.add_edge b 2 3 ~weight:1;
   check Alcotest.bool "two components" false (Graph.is_connected (Graph.freeze b))
 
+(* With an all-core cluster map the oracle is a memoised Dijkstra over
+   the whole graph. *)
 let test_oracle_caches () =
   let g = line_graph 8 in
-  let o = Graph.Oracle.create g in
+  let o = Graph.Oracle.create g ~cluster:(Array.make 8 (-1)) in
   check Alcotest.int "d(1,5)" 4 (Graph.Oracle.distance o ~src:1 ~dst:5);
   check Alcotest.int "d(1,7)" 6 (Graph.Oracle.distance o ~src:1 ~dst:7);
   check Alcotest.int "one source cached" 1 (Graph.Oracle.sources_computed o);
