@@ -18,11 +18,10 @@ type node = {
   mutable vss : vs list;
 }
 
-type 'a t = {
+type t = {
   rng : Prng.t;
   mutable ring : vs Ring_map.t;
   nodes : (node_id, node) Hashtbl.t;
-  mutable items : 'a list Ring_map.t;
   mutable next_node_id : int;
   mutable lookup_count : int;
   mutable hop_count : int;
@@ -49,7 +48,6 @@ let create ~seed =
     rng = Prng.create ~seed;
     ring = Ring_map.empty;
     nodes = Hashtbl.create 4096;
-    items = Ring_map.empty;
     next_node_id = 0;
     lookup_count = 0;
     hop_count = 0;
@@ -306,7 +304,7 @@ let delete_vs_absorb t v =
   let owner = node t v.owner in
   owner.vss <- List.filter (fun x -> x.vs_id <> v.vs_id) owner.vss
 
-let depart t id =
+let crash t id =
   let n = node t id in
   if n.alive then begin
     List.iter (fun v -> delete_vs_absorb t v) n.vss;
@@ -315,9 +313,6 @@ let depart t id =
     t.live_dead <- t.live_dead + 1;
     t.n_alive <- t.n_alive - 1
   end
-
-let leave = depart
-let crash = depart
 
 let remove_vs t ~vs_id =
   match vs_of_id t vs_id with
@@ -395,31 +390,6 @@ let lookup t ~from ~key =
     t.hop_count <- t.hop_count + !hops;
     (t.snap_vss.(!result), !hops)
   end
-
-let put t ~from ~key payload =
-  let _, hops = lookup t ~from ~key in
-  let existing =
-    match Ring_map.find_opt key t.items with Some l -> l | None -> []
-  in
-  t.items <- Ring_map.add key (payload :: existing) t.items;
-  hops
-
-let get t ~from ~key =
-  let _, hops = lookup t ~from ~key in
-  let payloads =
-    match Ring_map.find_opt key t.items with Some l -> l | None -> []
-  in
-  (payloads, hops)
-
-let items_in_region t region =
-  if Region.is_empty region then []
-  else
-    Ring_map.fold_range ~lo_incl:(Region.start region) ~len:(Region.len region)
-      (fun k payloads acc ->
-        List.fold_left (fun acc p -> (k, p) :: acc) acc payloads)
-      t.items []
-
-let clear_items t = t.items <- Ring_map.empty
 
 let lookups_performed t = t.lookup_count
 let hops_used t = t.hop_count

@@ -10,10 +10,6 @@ module Prng = P2plb_prng.Prng
     and moves with them; moving a VS between physical nodes is the
     unit of load transfer.
 
-    Key-indexed storage ([put]/[get]) is parameterised over the payload
-    type ['a]; the proximity-aware scheme publishes VSA records into
-    the DHT keyed by Hilbert numbers (§4.3).
-
     Routing uses Chord's greedy finger algorithm evaluated against the
     current ring, counting overlay hops; lookup and message counters
     support the cost accounting in the experiments. *)
@@ -34,115 +30,99 @@ type node = private {
   mutable vss : vs list;
 }
 
-type 'a t
+type t
 
-val create : seed:int -> 'a t
+val create : seed:int -> t
 
 (** {1 Membership} *)
 
-val join : 'a t -> capacity:float -> underlay:int -> n_vs:int -> node_id
+val join : t -> capacity:float -> underlay:int -> n_vs:int -> node_id
 (** Adds a physical node hosting [n_vs] virtual servers with
     pseudo-random identifiers.  When a VS lands inside an existing
     VS's region it takes over the sub-arc up to its own id, and
     inherits the proportional share of that VS's load (so total system
     load is invariant under joins). *)
 
-val leave : 'a t -> node_id -> unit
-(** Graceful departure: each VS's region and load are absorbed by its
-    successor VS, as a Chord leave hands off its keys. *)
+val crash : t -> node_id -> unit
+(** Fail-stop departure, modelled as the post-repair state: each VS's
+    region and load are absorbed by its successor VS (replication is
+    assumed to have preserved the objects and hence the load). *)
 
-val crash : 'a t -> node_id -> unit
-(** Fail-stop departure.  Ring-level effect equals {!leave} after
-    repair (successors take over regions; we model post-repair state,
-    assuming replication preserved the objects and hence the load). *)
-
-val node : 'a t -> node_id -> node
+val node : t -> node_id -> node
 (** Raises [Not_found] for unknown ids. *)
 
-val is_alive : 'a t -> node_id -> bool
-val n_nodes : 'a t -> int
+val is_alive : t -> node_id -> bool
+val n_nodes : t -> int
 (** Number of alive nodes. *)
 
-val n_vs : 'a t -> int
+val n_vs : t -> int
 
-val fold_nodes : 'a t -> init:'acc -> f:('acc -> node -> 'acc) -> 'acc
+val fold_nodes : t -> init:'acc -> f:('acc -> node -> 'acc) -> 'acc
 (** Over alive nodes, in increasing [node_id] order (deterministic). *)
 
-val fold_vs : 'a t -> init:'acc -> f:('acc -> vs -> 'acc) -> 'acc
+val fold_vs : t -> init:'acc -> f:('acc -> vs -> 'acc) -> 'acc
 (** Over all virtual servers in ring order. *)
 
-val alive_nodes : 'a t -> node list
+val alive_nodes : t -> node list
 (** In increasing [node_id] order. *)
 
-val alive_nth : 'a t -> int -> node
+val alive_nth : t -> int -> node
 (** [alive_nth t i] is the [i]-th alive node in increasing [node_id]
     order — [List.nth (alive_nodes t) i] without building the list.
     O(1) amortised (nodes are cached in join order; departures repack
     the cache lazily).  Raises [Invalid_argument] when [i] is out of
     range. *)
 
-val dead_nodes : 'a t -> node list
+val dead_nodes : t -> node list
 (** Departed/crashed nodes, in increasing [node_id] order — for
     live-node-scoped invariant checks. *)
 
 (** {1 Virtual servers, regions and load} *)
 
-val vs_of_id : 'a t -> Id.t -> vs option
-val region_of_vs : 'a t -> vs -> Region.t
+val vs_of_id : t -> Id.t -> vs option
+val region_of_vs : t -> vs -> Region.t
 
-val owner_of_key : 'a t -> Id.t -> vs
+val owner_of_key : t -> Id.t -> vs
 (** The VS responsible for a key ([successor(k)]).  Raises
     [Invalid_argument] on an empty ring. *)
 
-val set_vs_load : 'a t -> vs -> float -> unit
-val add_vs_load : 'a t -> vs -> float -> unit
+val set_vs_load : t -> vs -> float -> unit
+val add_vs_load : t -> vs -> float -> unit
 val node_load : node -> float
 val node_unit_load : node -> float
 (** Load per unit capacity — the y-axis of the paper's Figure 4. *)
 
-val total_load : 'a t -> float
-val total_capacity : 'a t -> float
+val total_load : t -> float
+val total_capacity : t -> float
 
-val random_vs_of_node : 'a t -> Prng.t -> node -> vs
+val random_vs_of_node : t -> Prng.t -> node -> vs
 (** A node reports LBI through one randomly chosen VS (§3.2). *)
 
-val report_vs : 'a t -> Prng.t -> node -> vs
+val report_vs : t -> Prng.t -> node -> vs
 (** Like {!random_vs_of_node}, but a node that currently hosts no VS
     (it shed everything in a previous round) reports through the VS
     owning its home key instead. *)
 
-val transfer_vs : 'a t -> vs_id:Id.t -> to_node:node_id -> unit
+val transfer_vs : t -> vs_id:Id.t -> to_node:node_id -> unit
 (** Re-hosts a VS (with its load and region) on another physical node:
     the VST operation.  Raises [Invalid_argument] if the VS does not
     exist or the target is dead. *)
 
-val remove_vs : 'a t -> vs_id:Id.t -> unit
+val remove_vs : t -> vs_id:Id.t -> unit
 (** Deletes a VS; its region and load are absorbed by the successor —
     CFS-style shedding (used by the CFS baseline).  The last VS on the
     ring cannot be removed. *)
 
-(** {1 Routing and storage} *)
+(** {1 Routing} *)
 
-val lookup : 'a t -> from:Id.t -> key:Id.t -> vs * int
+val lookup : t -> from:Id.t -> key:Id.t -> vs * int
 (** [lookup t ~from ~key] routes from the VS [from] to the VS
     responsible for [key] using greedy finger routing; returns the
     responsible VS and the overlay hop count (0 if [from] is itself
     responsible). *)
 
-val put : 'a t -> from:Id.t -> key:Id.t -> 'a -> int
-(** Stores a payload under a key (appending to any existing ones);
-    returns the overlay hops used. *)
-
-val get : 'a t -> from:Id.t -> key:Id.t -> 'a list * int
-
-val items_in_region : 'a t -> Region.t -> (Id.t * 'a) list
-(** All stored payloads whose key lies in the region — what the VS
-    owning that region can see locally. *)
-
-val clear_items : 'a t -> unit
-
 (** {1 Cost accounting} *)
 
-val lookups_performed : 'a t -> int
-val hops_used : 'a t -> int
-val reset_counters : 'a t -> unit
+val lookups_performed : t -> int
+val hops_used : t -> int
+val reset_counters : t -> unit

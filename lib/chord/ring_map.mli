@@ -2,7 +2,7 @@ module Id = P2plb_idspace.Id
 
 (** Ordered map over ring identifiers with wrap-around successor and
     predecessor queries — the data structure behind the simulated
-    Chord ring and its key-indexed storage. *)
+    Chord ring. *)
 
 type 'a t
 
@@ -26,9 +26,3 @@ val predecessor_strict : Id.t -> 'a t -> (Id.t * 'a) option
 
 val fold : (Id.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 val iter : (Id.t -> 'a -> unit) -> 'a t -> unit
-
-val fold_range :
-  lo_incl:Id.t -> len:int -> (Id.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-(** Folds over bindings whose key lies in the clockwise arc
-    [\[lo_incl, lo_incl + len)], wrapping.  [len] in
-    [\[0, Id.space_size\]]. *)

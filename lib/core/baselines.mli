@@ -26,7 +26,7 @@ module Histogram = P2plb_metrics.Histogram
          against all light capacities (best case for balance quality,
          still proximity-blind).}} *)
 
-val global_lbi : 'a Dht.t -> Types.lbi
+val global_lbi : Dht.t -> Types.lbi
 (** The exact system-wide [<L, C, L_min>], computed directly from the
     ring.  The baselines have no aggregation tree and are granted it
     outright (an optimistic assumption in their favour). *)
@@ -45,7 +45,7 @@ val cfs_shed :
   ?max_rounds:int ->
   rng:Prng.t ->
   oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   result
 (** Iterates shedding sweeps until no node is heavy or [max_rounds]
     (default 50) is hit — non-convergence is the documented thrashing
@@ -57,7 +57,7 @@ val rao_one_to_one :
   ?max_probes:int ->
   rng:Prng.t ->
   oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   result
 (** [max_probes] bounds total random probes (default [64 * n]). *)
 
@@ -66,7 +66,7 @@ val rao_one_to_many :
   ?directory_size:int ->
   rng:Prng.t ->
   oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   result
 (** Each heavy node sees a random sample of light nodes
     ([directory_size], default 16) and greedily places its shed VSs. *)
@@ -75,7 +75,7 @@ val rao_many_to_many :
   ?epsilon_rel:float ->
   rng:Prng.t ->
   oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   result
 (** Global pool, best-fit matching — equivalent to running the
     paper's rendezvous pairing once at a single global point, without

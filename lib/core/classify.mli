@@ -20,8 +20,8 @@ val classify :
   Types.node_class
 
 val classify_node :
-  lbi:Types.lbi -> epsilon:float -> 'a Dht.t -> Dht.node -> Types.node_class
+  lbi:Types.lbi -> epsilon:float -> Dht.t -> Dht.node -> Types.node_class
 
 val census :
-  lbi:Types.lbi -> epsilon:float -> 'a Dht.t -> int * int * int
+  lbi:Types.lbi -> epsilon:float -> Dht.t -> int * int * int
 (** [(heavy, light, neutral)] counts over alive nodes. *)

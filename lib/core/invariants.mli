@@ -6,37 +6,37 @@ module Faults = P2plb_sim.Faults
     sessions.  Each check returns [Ok ()] or a description of the
     first violation found. *)
 
-val ring_partition : 'a Dht.t -> (unit, string) result
+val ring_partition : Dht.t -> (unit, string) result
 (** Virtual-server regions tile the identifier space exactly. *)
 
-val ownership : 'a Dht.t -> (unit, string) result
+val ownership : Dht.t -> (unit, string) result
 (** Every VS is listed by exactly its owner node; every listed VS is
     on the ring; owners are alive. *)
 
-val loads_nonnegative : 'a Dht.t -> (unit, string) result
+val loads_nonnegative : Dht.t -> (unit, string) result
 
 val load_conservation :
-  expected_total:float -> ?tolerance:float -> 'a Dht.t -> (unit, string) result
+  expected_total:float -> ?tolerance:float -> Dht.t -> (unit, string) result
 (** Total system load equals [expected_total] within [tolerance]
     (default 1e-6 relative). *)
 
-val dead_detached : 'a Dht.t -> (unit, string) result
+val dead_detached : Dht.t -> (unit, string) result
 (** No departed/crashed node still lists a virtual server, and
     everything in {!Dht.dead_nodes} is in fact dead — the live-node
     scope of the other checks is trustworthy under churn. *)
 
-val live_load_accounted : ?tolerance:float -> 'a Dht.t -> (unit, string) result
+val live_load_accounted : ?tolerance:float -> Dht.t -> (unit, string) result
 (** The load reachable through alive nodes' VS lists equals the ring
     total: churn strands no load on dead nodes. *)
 
-val vs_snapshot : 'a Dht.t -> (P2plb_idspace.Id.t * int) list
+val vs_snapshot : Dht.t -> (P2plb_idspace.Id.t * int) list
 (** The current [(vs id, owner)] pairs, sorted by vs id — the
     "before" side of {!vs_conservation}. *)
 
 val vs_conservation :
   before:(P2plb_idspace.Id.t * int) list ->
   ?crashes:int ->
-  'a Dht.t ->
+  Dht.t ->
   (unit, string) result
 (** No virtual server was lost or duplicated since [before] was
     snapshot: every ring VS is listed exactly once across alive
@@ -47,7 +47,7 @@ val vs_conservation :
     VS to vanish (its region and load fold into the successor), so
     disappearances are tolerated only when [crashes > 0]. *)
 
-val tree : Ktree.t -> 'a Dht.t -> (unit, string) result
+val tree : Ktree.t -> Dht.t -> (unit, string) result
 (** Delegates to {!Ktree.check_consistent}. *)
 
 val all :
@@ -55,7 +55,7 @@ val all :
   ?expected_total:float ->
   ?vs_before:(P2plb_idspace.Id.t * int) list ->
   ?crashes:int ->
-  'a Dht.t ->
+  Dht.t ->
   (unit, string) result
 (** Runs every applicable check; first failure wins.  [vs_before]
     (with [crashes]) enables {!vs_conservation}. *)
@@ -63,7 +63,7 @@ val all :
 val round_check :
   faults:Faults.t ->
   expected_total:float ->
-  'a Dht.t ->
+  Dht.t ->
   unit ->
   (unit, string) result
 (** [round_check ~faults ~expected_total dht] snapshots the ring's VSs

@@ -26,16 +26,16 @@ val node_lbi : Dht.node -> Types.lbi
 
 val aggregate :
   rng:Prng.t -> ?faults:Faults.t -> ?route_messages:bool ->
-  Ktree.t -> 'a Dht.t -> Types.lbi
+  Ktree.t -> Dht.t -> Types.lbi
 (** Bottom-up aggregation over the current tree; returns the root's
     view.  Raises [Invalid_argument] if the DHT has no alive nodes. *)
 
 val disseminate :
   ?faults:Faults.t -> ?route_messages:bool ->
-  Ktree.t -> 'a Dht.t -> Types.lbi -> unit
+  Ktree.t -> Dht.t -> Types.lbi -> unit
 (** Top-down push of the root LBI (message-counted on the tree). *)
 
 val run :
   rng:Prng.t -> ?faults:Faults.t -> ?route_messages:bool ->
-  Ktree.t -> 'a Dht.t -> Types.lbi
+  Ktree.t -> Dht.t -> Types.lbi
 (** {!aggregate} followed by {!disseminate}. *)

@@ -23,7 +23,7 @@ val default : config
 
 type t = {
   rng : Prng.t;  (** stream for load-balancing decisions *)
-  dht : Types.vsa_record Dht.t;
+  dht : Dht.t;
   topo : Transit_stub.t;
   oracle : Graph.Oracle.t;
   space : Landmark.space;

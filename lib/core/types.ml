@@ -19,8 +19,9 @@ type shed_vs = { vs_load : float; vs_id : Id.t; heavy_node : node_id }
 (** A light node's spare capacity: [<ΔL_j, ip_addr(j)>] (§3.4). *)
 type light_slot = { deficit : float; light_node : node_id }
 
-(** VSA information as published into the DHT by the proximity-aware
-    scheme (§4.3). *)
+(** VSA information a node reports for pairing: routed to a KT leaf
+    through one of its own VSs, or published through the DHT under its
+    landmark key by the proximity-aware scheme (§4.3). *)
 type vsa_record = Shed of shed_vs | Light of light_slot
 
 (** A paired assignment produced by a rendezvous KT node, sent to both

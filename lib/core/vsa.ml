@@ -1,5 +1,6 @@
 module Prng = P2plb_prng.Prng
 module Id = P2plb_idspace.Id
+module Region = P2plb_idspace.Region
 module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
 module Leaf_reports = P2plb_ktree.Leaf_reports
@@ -62,22 +63,27 @@ let node_records ~epsilon ~(lbi : Types.lbi) (n : Dht.node) :
         Types.Shed { vs_load; vs_id; heavy_node = n.Dht.node_id })
       shed
 
-(* Retained list-based reference: builds a leaf pool from the
-   reverse-arrival record list exactly as the original implementation
-   did (fold splitting sheds/lights, reversing each category back to
-   arrival order, then of_entries).  The production path below feeds
-   {!Pairing.of_slices} from scratch buffers; test_prop pins their
-   agreement. *)
-let pool_of_records records =
-  let sheds, lights =
-    List.fold_left
-      (fun (ss, ls) r ->
-        match r with
-        | Types.Shed s -> (s :: ss, ls)
-        | Types.Light l -> (ss, l :: ls))
-      ([], []) records
+(* Aware-mode delivery.  One stable sort on (slot, clockwise offset of
+   the key from the owner's region start, descending) puts each slot's
+   records in the order its VS reports them. *)
+let deliver_published dht ~slot_of_vs published reports =
+  let tagged =
+    List.filter_map
+      (fun (key, r) ->
+        let owner = Dht.owner_of_key dht key in
+        let slot = slot_of_vs owner.Dht.vs_id in
+        if slot < 0 then None
+        else
+          let start = Region.start (Dht.region_of_vs dht owner) in
+          Some (slot, Id.distance_cw start key, r))
+      published
   in
-  Pairing.of_entries sheds lights
+  List.iter
+    (fun (slot, _, r) -> Leaf_reports.push reports slot r)
+    (List.stable_sort
+       (fun (s1, o1, _) (s2, o2, _) ->
+         match Int.compare s1 s2 with 0 -> Int.compare o2 o1 | c -> c)
+       tagged)
 
 (* A record is stale when its reporter died (or a shed VS was absorbed
    or re-owned) between reporting and rendezvous; pairing it would only
@@ -107,6 +113,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let assignments_lost = ref 0 in
   let n_heavy = ref 0 and n_light = ref 0 and n_neutral = ref 0 in
   let publish_hops = ref 0 in
+  let published = ref [] in
   let shed_offered = ref 0 and load_offered = ref 0.0 in
   let reports = Leaf_reports.buffer () in
   let slot_of_vs = Ktree.slot_of_vs tree in
@@ -135,7 +142,10 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
       let from = (Dht.report_vs dht rng n).Dht.vs_id in
       match send () with
       | None -> incr records_lost
-      | Some _ -> publish_hops := !publish_hops + Dht.put dht ~from ~key r)
+      | Some _ ->
+        let _, hops = Dht.lookup dht ~from ~key in
+        publish_hops := !publish_hops + hops;
+        published := (key, r) :: !published)
   in
   Dht.fold_nodes dht ~init:() ~f:(fun () n ->
       let records = node_records ~epsilon ~lbi n in
@@ -157,18 +167,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
         records);
   (* Aware mode published into the DHT: every VS now reports what
      landed in its region to its designated leaf. *)
-  (match mode with
-  | Ignorant -> ()
-  | Aware _ ->
-    Dht.fold_vs dht ~init:() ~f:(fun () v ->
-        let slot = slot_of_vs v.Dht.vs_id in
-        if slot >= 0 then begin
-          let region = Dht.region_of_vs dht v in
-          List.iter
-            (fun (_, r) -> Leaf_reports.push reports slot r)
-            (Dht.items_in_region dht region)
-        end);
-    Dht.clear_items dht);
+  deliver_published dht ~slot_of_vs (List.rev !published) reports;
   let grouped = Leaf_reports.group reports in
   (* Scratch buffers for the per-leaf freshness partition, reused by
      every leaf of the sweep (grown on demand, filled with the pushed

@@ -2,6 +2,7 @@ module Prng = P2plb_prng.Prng
 module Id = P2plb_idspace.Id
 module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
+module Leaf_reports = P2plb_ktree.Leaf_reports
 module Landmark = P2plb_landmark.Landmark
 module Hilbert = P2plb_hilbert.Hilbert
 module Faults = P2plb_sim.Faults
@@ -63,12 +64,20 @@ val node_records :
     minimal set chosen by {!Excess.choose_shed}), a light node's single
     spare-capacity slot, or nothing for a neutral node. *)
 
-val pool_of_records : Types.vsa_record list -> Pairing.pool
-(** Builds a leaf pool from records in arrival order, exactly as the
-    original list-based rendezvous did.  Retained as the reference
-    implementation the array-backed hot path is property-tested
-    against (test_prop); {!run} itself feeds {!Pairing.of_slices} from
-    reusable scratch buffers instead. *)
+val deliver_published :
+  Dht.t ->
+  slot_of_vs:(Id.t -> int) ->
+  (Id.t * 'r) list ->
+  'r Leaf_reports.buffer ->
+  unit
+(** [deliver_published dht ~slot_of_vs published reports] hands on
+    records published into the DHT, given as [(key, record)] pairs in
+    publication order.  Each record lands at the VS owning its key, and
+    that VS reports what landed in its region to leaf
+    [slot_of_vs vs_id], or to none when that is -1: from the key
+    nearest its own id back to its region's start, records under equal
+    keys in publication order.  [slot_of_vs] must give distinct VSs
+    distinct slots, as {!Ktree.slot_of_vs} does. *)
 
 val run :
   ?threshold:int ->
@@ -79,10 +88,11 @@ val run :
   rng:Prng.t ->
   lbi:Types.lbi ->
   Ktree.t ->
-  Types.vsa_record Dht.t ->
+  Dht.t ->
   result
 (** One full VSA sweep against the current ring and tree.  In [Aware]
-    mode, published records are cleared from DHT storage afterwards.
+    mode, publications are routed through the DHT (counting lookups
+    and hops) and delivered by {!deliver_published}.
 
     Churn resilience: the tree is {!Ktree.repair}ed first; record
     publications and rendezvous→endpoint notifications go through the

@@ -69,9 +69,6 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
   (* Per-assignment sequence numbers: the pair (vs id, seq) names one
      transaction, so a replayed TRANSFER is recognised and dropped. *)
   let seq = ref 0 in
-  let applied : (P2plb_idspace.Id.t * int, unit) Hashtbl.t =
-    Hashtbl.create 64
-  in
   (* Mid-window fail-stop, mirroring the multiround crash guard: never
      empty the ring, never strand every VS on the victim.  [false]
      when the victim was shielded (the transaction then proceeds). *)
@@ -166,9 +163,7 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
                the same sequence number and is dropped idempotently
                instead of re-applying. *)
             Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_to;
-            Hashtbl.replace applied (a.a_vs_id, !seq) ();
-            if Faults.duplicated f && Hashtbl.mem applied (a.a_vs_id, !seq)
-            then begin
+            if Faults.duplicated f then begin
               incr deduped;
               trace_point "vst/dedup" [ ("seq", P2plb_obs.Trace.Int !seq) ]
             end;

@@ -94,7 +94,7 @@ val apply :
   ?obs:P2plb_obs.Obs.t ->
   ?faults:Faults.t ->
   ?oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   Types.assignment list ->
   result
 (** [tree] enables KT-migration message accounting (and is refreshed

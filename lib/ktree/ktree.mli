@@ -45,7 +45,7 @@ val set_obs : t -> P2plb_obs.Obs.t -> unit
     attribute, in preorder), each also bumping the counter of the same
     name.  Without an attachment the tree stays silent. *)
 
-val build : ?route_messages:bool -> k:int -> 'a Dht.t -> t
+val build : ?route_messages:bool -> k:int -> Dht.t -> t
 (** Plants the tree against the current ring, one message per node.
     Requires a non-empty ring and [k >= 2].  [route_messages]
     (default false) additionally routes each child's planting lookup
@@ -64,13 +64,13 @@ val depth : t -> int
 val n_nodes : t -> int
 (** O(1). *)
 
-val refresh : t -> 'a Dht.t -> unit
+val refresh : t -> Dht.t -> unit
 (** One periodic maintenance pass: re-resolve every KT node's hosting
     VS, prune children of nodes that became leaves, grow children that
     became necessary, and send one heartbeat per edge.  On a ring with
     the ids of the last sync only the heartbeats are charged. *)
 
-val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
+val repair : ?route_messages:bool -> t -> Dht.t -> int
 (** Reactive self-repair, run before a sweep traverses the tree under
     churn: re-plant every KT node whose hosting VS left the ring or no
     longer owns the node's centre key, then prune/grow against the
@@ -81,7 +81,7 @@ val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
     number of KT nodes re-planted this pass; cumulative costs are
     exposed by {!repairs} / {!repair_messages}. *)
 
-val check_consistent : t -> 'a Dht.t -> (unit, string) result
+val check_consistent : t -> Dht.t -> (unit, string) result
 (** Structural invariants against the live ring, derived through the
     DHT ([owner_of_key], [region_of_vs]) rather than the walk's own
     arithmetic: every KT node is planted in the live VS owning its

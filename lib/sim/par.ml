@@ -1,6 +1,5 @@
 module Obs = P2plb_obs.Obs
 module Trace = P2plb_obs.Trace
-module Prng = P2plb_prng.Prng
 
 (* Deterministic domain pool — see par.mli for the contract and
    DESIGN.md §12 for the design discussion. *)
@@ -13,8 +12,6 @@ let create ~jobs =
 
 let sequential = { jobs = 1 }
 let jobs t = t.jobs
-
-let split_streams rng n = Array.init n (fun _ -> Prng.split rng)
 
 (* [Array.init]'s evaluation order is unspecified, so result collection
    uses explicit index loops throughout. *)

@@ -37,7 +37,7 @@ val default_pareto : config
 val vs_load : Prng.t -> config -> fraction:float -> float
 (** One VS's load given the identifier-space fraction it owns. *)
 
-val assign_loads : Prng.t -> config -> 'a Dht.t -> unit
+val assign_loads : Prng.t -> config -> Dht.t -> unit
 (** Draws a fresh load for every VS in the DHT. *)
 
 val capacity_levels : float array

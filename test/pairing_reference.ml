@@ -127,3 +127,19 @@ let pair ?(depth = 0) ~l_min p =
       !unpaired_shed
   in
   (List.rev !assignments, leftover)
+
+(* The original list-based leaf pool build: splits the reverse-arrival
+   record list into sheds and lights (the fold reverses each back to
+   arrival order) and hands them to the production [Pairing.of_entries].
+   test_prop checks that the VSA hot path, which feeds
+   [Pairing.of_slices] from scratch buffers, builds the same pool. *)
+let pool_of_records records =
+  let sheds, lights =
+    List.fold_left
+      (fun (ss, ls) r ->
+        match r with
+        | Types.Shed s -> (s :: ss, ls)
+        | Types.Light l -> (ss, l :: ls))
+      ([], []) records
+  in
+  P2plb.Pairing.of_entries sheds lights

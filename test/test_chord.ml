@@ -8,7 +8,7 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
 let build_dht ~seed ~nodes ~vs =
-  let dht : unit Dht.t = Dht.create ~seed in
+  let dht : Dht.t = Dht.create ~seed in
   for i = 0 to nodes - 1 do
     ignore (Dht.join dht ~capacity:(float_of_int (1 + (i mod 3))) ~underlay:i ~n_vs:vs)
   done;
@@ -30,24 +30,6 @@ let test_ring_map_successor () =
     (Ring_map.predecessor_strict 100 m);
   check Alcotest.(option (pair int string)) "pred wraps" (Some (100, "b"))
     (Ring_map.predecessor_strict 5 m)
-
-let test_ring_map_fold_range () =
-  let m =
-    List.fold_left
-      (fun m k -> Ring_map.add k k m)
-      Ring_map.empty [ 5; 10; 15; Id.space_size - 3 ]
-  in
-  let collect ~lo ~len =
-    List.rev (Ring_map.fold_range ~lo_incl:lo ~len (fun k _ acc -> k :: acc) m [])
-  in
-  check Alcotest.(list int) "plain" [ 5; 10 ] (collect ~lo:5 ~len:6);
-  check Alcotest.(list int) "wrap"
-    [ Id.space_size - 3; 5 ]
-    (collect ~lo:(Id.space_size - 3) ~len:10);
-  check Alcotest.(list int) "whole"
-    [ 5; 10; 15; Id.space_size - 3 ]
-    (collect ~lo:0 ~len:Id.space_size);
-  check Alcotest.(list int) "empty" [] (collect ~lo:0 ~len:0)
 
 (* ---- membership -------------------------------------------------------- *)
 
@@ -88,7 +70,7 @@ let test_load_conserved_by_leave () =
   let dht = build_dht ~seed:5 ~nodes:10 ~vs:3 in
   Dht.fold_vs dht ~init:() ~f:(fun () v -> Dht.set_vs_load dht v 2.0);
   let before = Dht.total_load dht in
-  Dht.leave dht 3;
+  Dht.crash dht 3;
   check Alcotest.int "node count drops" 9 (Dht.n_nodes dht);
   check Alcotest.int "vs count drops" 27 (Dht.n_vs dht);
   check Alcotest.bool "leave conserves load" true
@@ -97,7 +79,7 @@ let test_load_conserved_by_leave () =
 
 let test_regions_partition_after_churn () =
   let dht = build_dht ~seed:6 ~nodes:15 ~vs:3 in
-  Dht.leave dht 2;
+  Dht.crash dht 2;
   Dht.crash dht 7;
   ignore (Dht.join dht ~capacity:5.0 ~underlay:1 ~n_vs:4);
   let total =
@@ -126,7 +108,7 @@ let test_transfer_vs () =
 let test_transfer_to_dead_fails () =
   let dht = build_dht ~seed:8 ~nodes:5 ~vs:2 in
   let v = List.hd (Dht.node dht 0).Dht.vss in
-  Dht.leave dht 4;
+  Dht.crash dht 4;
   Alcotest.check_raises "dead target"
     (Invalid_argument "Dht.transfer_vs: dead target") (fun () ->
       Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:4)
@@ -185,41 +167,6 @@ let test_lookup_hop_bound () =
   (* 500 VSs: greedy finger routing stays within ~2 log2(n) = 18 *)
   check Alcotest.bool "O(log n) hops" true (!max_hops <= 20)
 
-let test_put_get () =
-  let dht : string Dht.t = Dht.create ~seed:14 in
-  for i = 0 to 9 do
-    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:2)
-  done;
-  let from = (Dht.owner_of_key dht 0).Dht.vs_id in
-  ignore (Dht.put dht ~from ~key:12345 "hello");
-  ignore (Dht.put dht ~from ~key:12345 "world");
-  let values, _ = Dht.get dht ~from ~key:12345 in
-  check Alcotest.(list string) "both stored" [ "world"; "hello" ] values;
-  let none, _ = Dht.get dht ~from ~key:777 in
-  check Alcotest.(list string) "missing key" [] none
-
-let test_items_in_region () =
-  let dht : int Dht.t = Dht.create ~seed:15 in
-  for i = 0 to 9 do
-    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:2)
-  done;
-  let from = (Dht.owner_of_key dht 0).Dht.vs_id in
-  let keys = [ 100; 5000; 1_000_000; Id.space_size - 1 ] in
-  List.iter (fun k -> ignore (Dht.put dht ~from ~key:k k)) keys;
-  (* every item is visible in exactly one VS's region *)
-  List.iter
-    (fun k ->
-      let owners =
-        Dht.fold_vs dht ~init:0 ~f:(fun acc v ->
-            let items = Dht.items_in_region dht (Dht.region_of_vs dht v) in
-            if List.exists (fun (key, _) -> key = k) items then acc + 1 else acc)
-      in
-      check Alcotest.int "exactly one region" 1 owners)
-    keys;
-  Dht.clear_items dht;
-  let values, _ = Dht.get dht ~from ~key:100 in
-  check Alcotest.(list int) "cleared" [] values
-
 let test_counters () =
   let dht = build_dht ~seed:16 ~nodes:20 ~vs:3 in
   Dht.reset_counters dht;
@@ -241,7 +188,7 @@ let prop_join_leave_partition =
       for _ = 1 to 5 do
         if Prng.bool rng && Dht.n_nodes dht > 1 then begin
           let alive = Array.of_list (Dht.alive_nodes dht) in
-          Dht.leave dht (Prng.choose rng alive).Dht.node_id
+          Dht.crash dht (Prng.choose rng alive).Dht.node_id
         end
         else ignore (Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:2)
       done;
@@ -257,7 +204,6 @@ let () =
       ( "ring_map",
         [
           Alcotest.test_case "successor" `Quick test_ring_map_successor;
-          Alcotest.test_case "fold_range" `Quick test_ring_map_fold_range;
         ] );
       ( "membership",
         [
@@ -289,8 +235,6 @@ let () =
           Alcotest.test_case "own key 0 hops" `Quick
             test_lookup_own_key_zero_hops;
           Alcotest.test_case "hop bound" `Quick test_lookup_hop_bound;
-          Alcotest.test_case "put/get" `Quick test_put_get;
-          Alcotest.test_case "items_in_region" `Quick test_items_in_region;
           Alcotest.test_case "counters" `Quick test_counters;
         ] );
       ("properties", [ qtest prop_join_leave_partition ]);

@@ -195,7 +195,7 @@ let test_r9 () =
             || String.equal (Filename.basename v.Lint.v_file) "obs_api.ml")
           vs))
 
-(* ---- finding IDs / JSON / baseline ------------------------------------- *)
+(* ---- finding IDs / JSON ----------------------------------------------- *)
 
 let findings () = Report.assign_ids (Report.run_all [ "lint_fixtures" ])
 
@@ -213,25 +213,6 @@ let test_ids_stable_and_unique () =
 let test_json_deterministic () =
   let run () = Report.to_json (findings ()) in
   check Alcotest.string "JSON byte-identical across two runs" (run ()) (run ())
-
-let test_baseline_workflow () =
-  let fs = findings () in
-  let json = Report.to_json fs in
-  (match Report.baseline_ids json with
-  | Error e -> Alcotest.fail e
-  | Ok ids ->
-    check Alcotest.int "baseline round-trips every id" (List.length fs)
-      (List.length ids);
-    check Alcotest.int "baseline-covered findings are not new" 0
-      (List.length (List.filter (Report.is_new ~baseline:ids) fs));
-    check Alcotest.int "nothing stale against a fresh baseline" 0
-      (List.length (Report.stale ~baseline:ids fs));
-    let fake = "R0-000000000000" in
-    check Alcotest.bool "a dead id is reported stale" true
-      (List.mem fake (Report.stale ~baseline:(fake :: ids) fs)));
-  match Report.baseline_ids "{}" with
-  | Ok _ -> Alcotest.fail "malformed baseline accepted"
-  | Error _ -> ()
 
 let test_explain () =
   List.iter
@@ -334,7 +315,6 @@ let () =
             test_ids_stable_and_unique;
           Alcotest.test_case "json deterministic" `Quick
             test_json_deterministic;
-          Alcotest.test_case "baseline workflow" `Quick test_baseline_workflow;
           Alcotest.test_case "explain covers every rule" `Quick test_explain;
         ] );
     ]

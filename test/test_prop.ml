@@ -306,8 +306,8 @@ let prop_merge_agrees_with_reference ((s1, d1), (s2, d2)) =
 
 (* The VSA hot path partitions each leaf's arrival-ordered record slice
    into shed/light scratch buffers and calls Pairing.of_slices; the
-   retained list path (Vsa.pool_of_records) folds the same records
-   through of_entries.  Both must build identical pools. *)
+   retained list path (Pairing_reference.pool_of_records) folds the
+   same records through of_entries.  Both must build identical pools. *)
 let vsa_record_case =
   Prop.list_of ~max_len:14 (Prop.pair (Prop.int_in 0 1) discrete_load)
 
@@ -322,7 +322,7 @@ let prop_vsa_grouping_agrees tagged =
       tagged
   in
   (* Reference: reverse-arrival list, as the per-leaf Hashtbl held it. *)
-  let ref_pool = P2plb.Vsa.pool_of_records (List.rev records) in
+  let ref_pool = Pairing_reference.pool_of_records (List.rev records) in
   (* Production: arrival-ordered scratch-buffer prefixes. *)
   let sheds =
     Array.of_list

@@ -6,7 +6,7 @@ module Prng = P2plb_prng.Prng
 let check = Alcotest.check
 
 let build_dht ~seed ~nodes ~vs =
-  let dht : unit Dht.t = Dht.create ~seed in
+  let dht : Dht.t = Dht.create ~seed in
   for i = 0 to nodes - 1 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
   done;

@@ -1,8 +1,12 @@
 (* Unit tests of the VSA phase itself: rendezvous threshold behaviour,
-   mode differences, and accounting invariants. *)
+   mode differences, accounting invariants, and the order in which
+   aware-mode publications reach their leaves. *)
 
 module TS = P2plb_topology.Transit_stub
+module Id = P2plb_idspace.Id
+module Prng = P2plb_prng.Prng
 module Dht = P2plb_chord.Dht
+module Leaf_reports = P2plb_ktree.Leaf_reports
 module Ktree = P2plb_ktree.Ktree
 module Hilbert = P2plb_hilbert.Hilbert
 module Landmark = P2plb_landmark.Landmark
@@ -82,20 +86,14 @@ let test_ignorant_has_no_publish_hops () =
   in
   check Alcotest.int "no publication in ignorant mode" 0 r.Vsa.publish_hops
 
-let test_aware_publishes_and_clears () =
+let test_aware_publication_costs_hops () =
   let s, tree, lbi = setup () in
   let dht = s.Scenario.dht in
   let r =
     Vsa.run ~epsilon:(epsilon lbi) ~mode:(aware_mode s) ~rng:s.Scenario.rng
       ~lbi tree dht
   in
-  check Alcotest.bool "publication costs hops" true (r.Vsa.publish_hops > 0);
-  (* the DHT storage is cleared after collection *)
-  let leftovers =
-    Dht.fold_vs dht ~init:0 ~f:(fun acc v ->
-        acc + List.length (Dht.items_in_region dht (Dht.region_of_vs dht v)))
-  in
-  check Alcotest.int "records cleared" 0 leftovers
+  check Alcotest.bool "publication costs hops" true (r.Vsa.publish_hops > 0)
 
 let test_huge_threshold_pairs_only_at_root () =
   let s, tree, lbi = setup () in
@@ -175,6 +173,86 @@ let test_vsa_does_not_move_load () =
   in
   check Alcotest.bool "ownership unchanged by VSA" true (before = after)
 
+(* ---- publication delivery ------------------------------------------ *)
+
+(* Each slot's reports, in order. *)
+let slot_reports buf n_slots =
+  let g = Leaf_reports.group buf in
+  List.init n_slots (fun slot ->
+      Leaf_reports.fold_newest_first g slot ~init:[] ~f:(fun acc r -> r :: acc))
+
+(* Both deliveries of [published] (records are arrival indices), as
+   per-slot report lists: (sort-based, old-store model). *)
+let deliveries dht ~slot_of_vs published =
+  let n_slots = Dht.n_vs dht in
+  let deliver f =
+    let buf = Leaf_reports.buffer () in
+    f dht ~slot_of_vs published buf;
+    slot_reports buf n_slots
+  in
+  (deliver Vsa.deliver_published, deliver Dht_store_reference.deliver)
+
+(* A small ring of [nodes] nodes with [per_node] VSs each (a one-VS ring
+   when both are 1; with more, the lowest VS's region wraps past id 0)
+   and [n_pubs] publications whose keys repeat: drawn from a few fixed
+   values (the ring's ends among them), from at or just past VS ids,
+   or uniformly.  About one VS in four is off the tree (slot -1). *)
+let prop_delivery_matches_store =
+  QCheck.Test.make ~name:"sort delivery = store model, every slot" ~count:300
+    QCheck.(
+      quad small_nat (int_range 1 4) (int_range 1 3) (int_range 0 40))
+    (fun (seed, nodes, per_node, n_pubs) ->
+      let dht : Dht.t = Dht.create ~seed in
+      for i = 0 to nodes - 1 do
+        ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:per_node)
+      done;
+      let rng = Prng.create ~seed:(seed + 1) in
+      let ids =
+        Array.of_list
+          (List.rev
+             (Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v.Dht.vs_id :: acc)))
+      in
+      let fixed =
+        [| 0; Id.space_size - 1; Prng.int rng Id.space_size;
+           Prng.int rng Id.space_size |]
+      in
+      let key () =
+        match Prng.int rng 3 with
+        | 0 -> Prng.choose rng fixed
+        | 1 -> Id.add (Prng.choose rng ids) (Prng.int rng 3)
+        | _ -> Prng.int rng Id.space_size
+      in
+      let published = List.init n_pubs (fun i -> (key (), i)) in
+      let on_tree = Array.map (fun _ -> Prng.int rng 4 > 0) ids in
+      let slot_of_vs id =
+        let slot = ref (-1) in
+        Array.iteri
+          (fun i x -> if Id.equal x id && on_tree.(i) then slot := i)
+          ids;
+        !slot
+      in
+      let sorted, model = deliveries dht ~slot_of_vs published in
+      List.equal (List.equal Int.equal) sorted model)
+
+(* On a one-VS ring the region is the whole ring from id 0, so the VS
+   hands on its records in plain descending key order, not by distance
+   to its own id. *)
+let test_one_vs_ring_descending () =
+  let dht : Dht.t = Dht.create ~seed:3 in
+  ignore (Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:1);
+  let owner = (Dht.owner_of_key dht 0).Dht.vs_id in
+  let keys =
+    [ Id.add owner 5; Id.add owner (-5); Id.add owner 5; 0; Id.space_size - 1 ]
+  in
+  let published = List.mapi (fun i k -> (k, i)) keys in
+  let expected =
+    List.map snd
+      (List.stable_sort (fun (a, _) (b, _) -> Int.compare b a) published)
+  in
+  let sorted, model = deliveries dht ~slot_of_vs:(fun _ -> 0) published in
+  check Alcotest.(list (list int)) "descending keys" [ expected ] sorted;
+  check Alcotest.(list (list int)) "as the store did" model sorted
+
 let () =
   Alcotest.run "vsa"
     [
@@ -188,7 +266,7 @@ let () =
           Alcotest.test_case "ignorant: no publish" `Quick
             test_ignorant_has_no_publish_hops;
           Alcotest.test_case "aware: publish+clear" `Quick
-            test_aware_publishes_and_clears;
+            test_aware_publication_costs_hops;
         ] );
       ( "behaviour",
         [
@@ -202,5 +280,11 @@ let () =
             test_higher_epsilon_fewer_heavy;
           Alcotest.test_case "VSA is read-only" `Quick
             test_vsa_does_not_move_load;
+        ] );
+      ( "delivery",
+        [
+          Alcotest.test_case "one-VS ring: descending keys" `Quick
+            test_one_vs_ring_descending;
+          QCheck_alcotest.to_alcotest prop_delivery_matches_store;
         ] );
     ]

@@ -1,20 +1,17 @@
 (* p2plint CLI.
 
    Usage:
-     p2plint [--json] [--baseline FILE] [--write-baseline FILE]
-             [--explain RULE] [path ...]
+     p2plint [--json] [--explain RULE] [path ...]
 
    With no paths, lints the project's default scope.  Exit codes form
-   the CI contract: 0 = clean (or baseline-covered), 1 = findings,
-   2 = internal error (unknown flag, missing path, unparseable input
-   or baseline). *)
+   the CI contract: 0 = clean, 1 = findings, 2 = internal error
+   (unknown flag, missing path or unparseable input). *)
 
 let default_paths = [ "lib"; "bin"; "bench"; "test"; "tools"; "examples" ]
 
 let usage () =
   prerr_string
-    "usage: p2plint [--json] [--baseline FILE] [--write-baseline FILE]\n\
-    \               [--explain RULE] [path ...]\n";
+    "usage: p2plint [--json] [--explain RULE] [path ...]\n";
   exit 2
 
 let explain rule =
@@ -30,22 +27,14 @@ let explain rule =
 
 let () =
   let json = ref false in
-  let baseline_file = ref None in
-  let write_baseline = ref None in
   let paths = ref [] in
   let rec parse = function
     | [] -> ()
     | "--json" :: rest ->
       json := true;
       parse rest
-    | "--baseline" :: file :: rest ->
-      baseline_file := Some file;
-      parse rest
-    | "--write-baseline" :: file :: rest ->
-      write_baseline := Some file;
-      parse rest
     | "--explain" :: rule :: _ -> explain rule
-    | ("--baseline" | "--write-baseline" | "--explain") :: [] -> usage ()
+    | "--explain" :: [] -> usage ()
     | arg :: _ when String.length arg > 2 && String.equal (String.sub arg 0 2) "--"
       ->
       Printf.eprintf "p2plint: unknown flag %s\n" arg;
@@ -79,51 +68,17 @@ let () =
     Printf.eprintf "p2plint: %d parse error(s)\n" (List.length parse_errors);
     exit 2);
   let findings = P2plint.Report.assign_ids findings in
-  (match !write_baseline with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    output_string oc (P2plint.Report.to_json findings);
-    close_out oc;
-    Printf.eprintf "p2plint: wrote %d finding(s) to %s\n"
-      (List.length findings) file;
-    exit 0);
-  let baseline =
-    match !baseline_file with
-    | None -> []
-    | Some file ->
-      if not (Sys.file_exists file) then begin
-        Printf.eprintf "p2plint: no such baseline: %s\n" file;
-        exit 2
-      end;
-      (match P2plint.Report.baseline_ids (P2plint.Lint.read_file file) with
-      | Ok ids -> ids
-      | Error msg ->
-        Printf.eprintf "p2plint: %s: %s\n" file msg;
-        exit 2)
-  in
-  let fresh =
-    List.filter (P2plint.Report.is_new ~baseline) findings
-  in
-  if !json then print_string (P2plint.Report.to_json fresh)
+  if !json then print_string (P2plint.Report.to_json findings)
   else
     List.iter
       (fun (f : P2plint.Report.finding) ->
         Printf.printf "%s  [%s]\n" (P2plint.Lint.to_string f.fd_viol) f.fd_id)
-      fresh;
-  match fresh with
+      findings;
+  match findings with
   | [] ->
-    if not !json then begin
-      let covered = List.length findings - List.length fresh in
-      if covered > 0 then
-        Printf.printf "p2plint: OK (%s; %d baseline-covered)\n"
-          (String.concat " " paths) covered
-      else Printf.printf "p2plint: OK (%s)\n" (String.concat " " paths)
-    end;
+    if not !json then
+      Printf.printf "p2plint: OK (%s)\n" (String.concat " " paths);
     exit 0
   | _ :: _ ->
-    Printf.eprintf "p2plint: %d new finding(s)%s\n" (List.length fresh)
-      (match !baseline_file with
-      | None -> ""
-      | Some f -> Printf.sprintf " not in %s" f);
+    Printf.eprintf "p2plint: %d finding(s)\n" (List.length findings);
     exit 1

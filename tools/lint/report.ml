@@ -1,5 +1,5 @@
-(* Finding IDs, JSON rendering, baseline workflow and rule
-   explanations for the p2plint CLI.
+(* Finding IDs, JSON rendering and rule explanations for the p2plint
+   CLI.
 
    A finding ID is [<rule>-<12 hex chars>]: the hex is an MD5 over the
    rule, the file path, the *text* of the offending line and the
@@ -96,56 +96,6 @@ let to_json findings =
   if not (List.is_empty findings) then Buffer.add_char b '\n';
   Buffer.add_string b "]}\n";
   Buffer.contents b
-
-(* ---- baseline ---------------------------------------------------------- *)
-
-(* Minimal extraction of the ["id"] string values.  The baseline is
-   machine-written by [--write-baseline] in the exact shape [to_json]
-   emits, so a full JSON parser would be dead weight; malformed input
-   is an error, not a guess. *)
-let baseline_ids content =
-  match Lint.find_sub content "\"findings\"" with
-  | None -> Error "malformed baseline: no \"findings\" key"
-  | Some _ ->
-    let ids = ref [] in
-    let len = String.length content in
-    let i = ref 0 in
-    let key = "\"id\"" in
-    let ok = ref true in
-    while !ok && !i < len do
-      match Lint.find_sub (String.sub content !i (len - !i)) key with
-      | None -> i := len
-      | Some off ->
-        let j = ref (!i + off + String.length key) in
-        while
-          !j < len && (Char.equal content.[!j] ' ' || Char.equal content.[!j] ':')
-        do
-          incr j
-        done;
-        if !j >= len || not (Char.equal content.[!j] '"') then ok := false
-        else begin
-          incr j;
-          let start = !j in
-          while !j < len && not (Char.equal content.[!j] '"') do
-            incr j
-          done;
-          if !j >= len then ok := false
-          else begin
-            ids := String.sub content start (!j - start) :: !ids;
-            i := !j + 1
-          end
-        end
-    done;
-    if !ok then Ok (List.rev !ids)
-    else Error "malformed baseline: unterminated \"id\" value"
-
-let is_new ~baseline f = not (List.mem f.fd_id baseline)
-
-let stale ~baseline findings =
-  List.filter
-    (fun id -> not (List.exists (fun f -> String.equal f.fd_id id) findings))
-    baseline
-  |> List.sort_uniq String.compare
 
 (* ---- explanations ------------------------------------------------------ *)
 

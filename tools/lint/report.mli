@@ -1,5 +1,5 @@
-(** Finding IDs, JSON output, baseline workflow and [--explain] texts
-    for the p2plint CLI. *)
+(** Finding IDs, JSON output and [--explain] texts for the p2plint
+    CLI. *)
 
 type finding = { fd_id : string; fd_viol : Lint.violation }
 
@@ -12,16 +12,6 @@ val assign_ids : Lint.violation list -> finding list
 val to_json : finding list -> string
 (** Deterministic JSON document ([{"version":1,"findings":[...]}]);
     byte-identical for equal inputs. *)
-
-val baseline_ids : string -> (string list, string) result
-(** Extracts the finding IDs from a baseline file's contents (the
-    shape [to_json] writes).  [Error] describes the malformation. *)
-
-val is_new : baseline:string list -> finding -> bool
-
-val stale : baseline:string list -> finding list -> string list
-(** Baseline IDs no longer present in the current findings, sorted —
-    entries that should be deleted from the baseline. *)
 
 val explain : string -> string option
 (** One-paragraph explanation of a rule ("R1".."R9", "PARSE"). *)
