@@ -275,7 +275,9 @@ let insert_vs t v =
   t.ring <- Ring_map.add v.vs_id v t.ring;
   snap_invalidate t
 
-let join t ~capacity ~underlay ~n_vs =
+(* A new node whose [n_vs] VSs get the ids [vs_id ~node_id ~index],
+   each inserted before the next id is chosen. *)
+let add_node t ~capacity ~underlay ~n_vs ~vs_id =
   if capacity <= 0.0 then invalid_arg "Dht.join: capacity <= 0";
   if n_vs < 1 then invalid_arg "Dht.join: n_vs < 1";
   let node_id = t.next_node_id in
@@ -285,12 +287,23 @@ let join t ~capacity ~underlay ~n_vs =
   live_append t n;
   t.n_alive <- t.n_alive + 1;
   for index = 0 to n_vs - 1 do
-    let vs_id = fresh_vs_id t ~node_id ~index in
-    let v = { vs_id; owner = node_id; load = 0.0 } in
+    let v = { vs_id = vs_id ~node_id ~index; owner = node_id; load = 0.0 } in
     insert_vs t v;
     n.vss <- v :: n.vss
   done;
   node_id
+
+let join t ~capacity ~underlay ~n_vs =
+  add_node t ~capacity ~underlay ~n_vs ~vs_id:(fresh_vs_id t)
+
+let join_with_ids t ~capacity ~underlay ids =
+  if
+    List.length (List.sort_uniq Int.compare ids) <> List.length ids
+    || List.exists (fun id -> id <> Id.of_int id || Ring_map.mem id t.ring) ids
+  then invalid_arg "Dht.join_with_ids: id out of range or taken";
+  let ids = Array.of_list ids in
+  add_node t ~capacity ~underlay ~n_vs:(Array.length ids)
+    ~vs_id:(fun ~node_id:_ ~index -> ids.(index))
 
 (* Remove a VS from the ring; successor absorbs region and load. *)
 let delete_vs_absorb t v =
@@ -336,55 +349,52 @@ let transfer_vs t ~vs_id ~to_node =
 
 (* Greedy Chord routing evaluated against the current ring: from VS
    [cur], the closest preceding finger of [key] is the largest
-   successor(cur + 2^k) lying strictly inside (cur, key).  Runs on the
-   ring snapshot (caller refreshes); returns -1 when no finger
-   qualifies, avoiding an option allocation per probe. *)
-let closest_preceding_finger t ~cur ~key =
-  let best = ref (-1) in
-  let k = ref (Id.bits - 1) in
-  while !best < 0 && !k >= 0 do
-    let target = Id.add cur (1 lsl !k) in
-    let fid = t.snap_ids.(snap_successor_idx t target) in
-    if Id.in_range_excl_excl fid ~lo:cur ~hi:key then best := fid;
-    decr k
-  done;
-  !best
+   successor(cur + 2^k) lying strictly inside (cur, key).  With [p] the
+   last ring id before [key], such a finger exists exactly when
+   2^k <= distance_cw cur p, so the largest one takes the largest such
+   k: one probe instead of a scan from k = 31 down.  Runs on the ring
+   snapshot (caller refreshes) and returns the finger's snapshot index,
+   or -1 when no finger qualifies ([p = cur]), avoiding an option
+   allocation per probe. *)
+let closest_preceding_finger t ~cur ~p =
+  let d = Id.distance_cw cur p in
+  if d = 0 then -1
+  else begin
+    let rec floor_log2 k d = if d > 1 then floor_log2 (k + 1) (d lsr 1) else k in
+    snap_successor_idx t (Id.add cur (1 lsl floor_log2 0 d))
+  end
 
+(* The walk keeps the snapshot index of the current VS, so its
+   successor is the next index. *)
 let lookup t ~from ~key =
   if Ring_map.is_empty t.ring then invalid_arg "Dht.lookup: empty ring";
   if not (Ring_map.mem from t.ring) then
     invalid_arg "Dht.lookup: unknown source VS";
   t.lookup_count <- t.lookup_count + 1;
   snap_refresh t;
-  let from_vs () = t.snap_vss.(snap_successor_idx t from) in
-  let pred_from = predecessor_id t from in
+  let ids = t.snap_ids and n = t.snap_n in
+  let fi = snap_lower_bound t from in
+  let pred_from = ids.((fi + n - 1) mod n) in
   if Id.in_range_excl_incl key ~lo:pred_from ~hi:from
      && (pred_from <> from || key = from)
-  then (from_vs (), 0)
+  then (t.snap_vss.(fi), 0)
   else if pred_from = from then (* single VS owns everything *)
-    (from_vs (), 0)
+    (t.snap_vss.(fi), 0)
   else begin
+    let p = ids.(snap_predecessor_strict_idx t key) in
     let hops = ref 0 in
-    let cur = ref from in
+    let ci = ref fi in
     let result = ref (-1) in
     while !result < 0 do
-      let si = snap_successor_idx t (!cur + 1) in
-      let succ_id = t.snap_ids.(si) in
-      if Id.in_range_excl_incl key ~lo:!cur ~hi:succ_id then begin
-        incr hops;
-        result := si
-      end
+      incr hops;
+      (* each hop moves strictly closer to the key *)
+      if !hops > n then failwith "Dht.lookup: route revisits a VS";
+      let cur = ids.(!ci) and si = (!ci + 1) mod n in
+      if Id.in_range_excl_incl key ~lo:cur ~hi:ids.(si) then result := si
       else begin
-        let next = closest_preceding_finger t ~cur:!cur ~key in
-        if next >= 0 then begin
-          incr hops;
-          cur := next
-        end
-        else begin
-          (* No finger strictly precedes the key: hand to successor. *)
-          incr hops;
-          cur := succ_id
-        end
+        let next = closest_preceding_finger t ~cur ~p in
+        (* No finger strictly precedes the key: hand to successor. *)
+        ci := if next >= 0 then next else si
       end
     done;
     t.hop_count <- t.hop_count + !hops;

@@ -12,7 +12,9 @@ module Prng = P2plb_prng.Prng
 
     Routing uses Chord's greedy finger algorithm evaluated against the
     current ring, counting overlay hops; lookup and message counters
-    support the cost accounting in the experiments. *)
+    support the cost accounting in the experiments.  No finger table
+    is stored: each hop computes its finger from the sorted ring in
+    one probe (see {!lookup}). *)
 
 type node_id = int
 
@@ -42,6 +44,13 @@ val join : t -> capacity:float -> underlay:int -> n_vs:int -> node_id
     VS's region it takes over the sub-arc up to its own id, and
     inherits the proportional share of that VS's load (so total system
     load is invariant under joins). *)
+
+val join_with_ids :
+  t -> capacity:float -> underlay:int -> Id.t list -> node_id
+(** Like {!join}, but the node's VSs get the given identifiers, in
+    order: rings with chosen ids, such as the ends of the id space.
+    Raises [Invalid_argument] when the list is empty, an id is outside
+    the id space, repeats, or is already on the ring. *)
 
 val crash : t -> node_id -> unit
 (** Fail-stop departure, modelled as the post-repair state: each VS's
@@ -119,7 +128,12 @@ val lookup : t -> from:Id.t -> key:Id.t -> vs * int
 (** [lookup t ~from ~key] routes from the VS [from] to the VS
     responsible for [key] using greedy finger routing; returns the
     responsible VS and the overlay hop count (0 if [from] is itself
-    responsible). *)
+    responsible).  Each hop goes to the closest finger
+    [successor(cur + 2^k)] strictly preceding [key], or to the
+    successor when none does.  That finger is found in one probe:
+    with [p] the last ring id before [key], it is
+    [successor(cur + 2^floor(log2 (distance_cw cur p)))], which is what a
+    scan of the 32 fingers from the farthest down returns. *)
 
 (** {1 Cost accounting} *)
 

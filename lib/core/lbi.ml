@@ -38,7 +38,10 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
         if slot >= 0 then Leaf_reports.push reports slot (node_lbi n)
       end);
   let grouped = Leaf_reports.group reports in
+  (* A leaf without reports contributes [zero_lbi], a unit of the
+     combine (loads are >= 0), so the sweep skips those subtrees. *)
   Ktree.sweep_up tree
+    ~occupied:(fun slot -> Leaf_reports.size grouped slot > 0)
     ~at_leaf:(fun slot _ ->
       (* Newest-first: the float sums keep the order every LBI digest
          was pinned with. *)
@@ -47,17 +50,18 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
     ~combine:(fun _ children ->
       List.fold_left Types.lbi_combine zero_lbi children)
 
-let disseminate ?faults ?(route_messages = false) tree dht lbi =
+let disseminate ?faults ?(route_messages = false) tree dht _lbi =
   (* Nodes may have died during aggregation; re-plant before pushing
      the root value back down. *)
   ignore (Ktree.repair ~route_messages tree dht);
   let f = Faults.or_none faults in
   (* The final hop, leaf -> reporting VS, rides the same lossy links
      as the reports; losses are retried and, at worst, counted as
-     timeouts (the stale-LBI node re-reads it next round). *)
-  Ktree.sweep_down tree ~at_root:lbi
-    ~split:(fun _ v -> v)
-    ~at_leaf:(fun _ _ _ -> ignore (reliable f))
+     timeouts (the stale-LBI node re-reads it next round).  Every KT
+     leaf sends it, designated or not, so a fault plan draws once per
+     leaf: the loss stream does not depend on which leaves had
+     reports. *)
+  Ktree.sweep_down tree ~at_leaf:(fun () -> ignore (reliable f))
 
 let run ~rng ?faults ?route_messages tree dht =
   let lbi = aggregate ~rng ?faults ?route_messages tree dht in

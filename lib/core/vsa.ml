@@ -35,25 +35,22 @@ type result = {
 
 let default_threshold = 30
 
-(* Per-node VSA records: what a heavy node offers, or a light node's
-   spare capacity. *)
-let node_records ~epsilon ~(lbi : Types.lbi) (n : Dht.node) :
+(* Per-node VSA records of a node of class [cls] and load [load]: what
+   a heavy node offers, or a light node's spare capacity. *)
+let records_of_class ~epsilon ~(lbi : Types.lbi) cls ~load (n : Dht.node) :
     Types.vsa_record list =
-  match
-    Classify.classify ~lbi ~epsilon ~load:(Dht.node_load n)
-      ~capacity:n.Dht.capacity
-  with
+  match cls with
   | Types.Neutral -> []
   | Types.Light ->
     let target =
       Classify.target_load ~lbi ~epsilon ~capacity:n.Dht.capacity
     in
-    [ Types.Light { deficit = target -. Dht.node_load n; light_node = n.Dht.node_id } ]
+    [ Types.Light { deficit = target -. load; light_node = n.Dht.node_id } ]
   | Types.Heavy ->
     let target =
       Classify.target_load ~lbi ~epsilon ~capacity:n.Dht.capacity
     in
-    let need = Dht.node_load n -. target in
+    let need = load -. target in
     let loads =
       Array.of_list (List.map (fun v -> (v.Dht.vs_id, v.Dht.load)) n.Dht.vss)
     in
@@ -62,6 +59,12 @@ let node_records ~epsilon ~(lbi : Types.lbi) (n : Dht.node) :
       (fun (vs_id, vs_load) ->
         Types.Shed { vs_load; vs_id; heavy_node = n.Dht.node_id })
       shed
+
+let node_records ~epsilon ~lbi (n : Dht.node) =
+  let load = Dht.node_load n in
+  records_of_class ~epsilon ~lbi
+    (Classify.classify ~lbi ~epsilon ~load ~capacity:n.Dht.capacity)
+    ~load n
 
 (* Aware-mode delivery.  One stable sort on (slot, clockwise offset of
    the key from the owner's region start, descending) puts each slot's
@@ -117,8 +120,8 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let shed_offered = ref 0 and load_offered = ref 0.0 in
   let reports = Leaf_reports.buffer () in
   let slot_of_vs = Ktree.slot_of_vs tree in
-  (* Classify every node, collect its records and route each to a KT
-     leaf according to the mode — one fused pass in alive-node order
+  (* Classify every node once, collect its records and route each to a
+     KT leaf according to the mode — one fused pass in alive-node order
      (classification draws no randomness, so collection and routing
      interleave without perturbing the per-record PRNG/fault stream). *)
   let failed =
@@ -126,45 +129,54 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     | Ignorant -> []
     | Aware { space; _ } -> Faults.failed_landmarks f ~m:(Landmark.m space)
   in
-  let route_record (n : Dht.node) r =
+  (* The sender of one node's records: in aware mode the node's DHT
+     key is computed once, then each record draws its reporting VS and
+     its send in turn. *)
+  let router (n : Dht.node) =
     match mode with
     | Ignorant -> (
-      let v = Dht.report_vs dht rng n in
-      match send () with
-      | None -> incr records_lost
-      | Some _ ->
-        let slot = slot_of_vs v.Dht.vs_id in
-        if slot >= 0 then Leaf_reports.push reports slot r)
+      fun r ->
+        let v = Dht.report_vs dht rng n in
+        match send () with
+        | None -> incr records_lost
+        | Some _ ->
+          let slot = slot_of_vs v.Dht.vs_id in
+          if slot >= 0 then Leaf_reports.push reports slot r)
     | Aware { space; order; curve; binning } -> (
       let key =
         Landmark.dht_key ~curve ~binning ~failed space ~order n.Dht.underlay
       in
-      let from = (Dht.report_vs dht rng n).Dht.vs_id in
-      match send () with
-      | None -> incr records_lost
-      | Some _ ->
-        let _, hops = Dht.lookup dht ~from ~key in
-        publish_hops := !publish_hops + hops;
-        published := (key, r) :: !published)
+      fun r ->
+        let from = (Dht.report_vs dht rng n).Dht.vs_id in
+        match send () with
+        | None -> incr records_lost
+        | Some _ ->
+          let _, hops = Dht.lookup dht ~from ~key in
+          publish_hops := !publish_hops + hops;
+          published := (key, r) :: !published)
   in
   Dht.fold_nodes dht ~init:() ~f:(fun () n ->
-      let records = node_records ~epsilon ~lbi n in
-      (match
-         Classify.classify ~lbi ~epsilon ~load:(Dht.node_load n)
-           ~capacity:n.Dht.capacity
-       with
+      let load = Dht.node_load n in
+      let cls =
+        Classify.classify ~lbi ~epsilon ~load ~capacity:n.Dht.capacity
+      in
+      (match cls with
       | Types.Heavy -> incr n_heavy
       | Types.Light -> incr n_light
       | Types.Neutral -> incr n_neutral);
-      List.iter
-        (fun r ->
-          (match r with
-          | Types.Shed s ->
-            incr shed_offered;
-            load_offered := !load_offered +. s.Types.vs_load
-          | Types.Light _ -> ());
-          route_record n r)
-        records);
+      match records_of_class ~epsilon ~lbi cls ~load n with
+      | [] -> ()
+      | records ->
+        let route = router n in
+        List.iter
+          (fun r ->
+            (match r with
+            | Types.Shed s ->
+              incr shed_offered;
+              load_offered := !load_offered +. s.Types.vs_load
+            | Types.Light _ -> ());
+            route r)
+          records);
   (* Aware mode published into the DHT: every VS now reports what
      landed in its region to its designated leaf. *)
   deliver_published dht ~slot_of_vs (List.rev !published) reports;
@@ -228,7 +240,11 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     leftover
   in
   let root_pool =
+    (* A leaf without reports adds the empty pool, which merges to
+       equal contents and pairs nothing without drawing, so the sweep
+       skips those subtrees. *)
     Ktree.sweep_up tree
+      ~occupied:(fun slot -> Leaf_reports.size grouped slot > 0)
       ~at_leaf:(fun slot depth ->
         if Leaf_reports.size grouped slot = 0 then Pairing.empty
         else begin

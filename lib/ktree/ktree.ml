@@ -21,6 +21,7 @@ type t = {
   (* Per VS rank: KT nodes planted in the VS. *)
   mutable hosted : int array;
   mutable n_nodes : int;
+  mutable n_leaves : int;
   mutable depth : int;
   mutable msg : int;
   mutable last_rounds : int;
@@ -44,6 +45,7 @@ let obs_event t name depth =
 let k t = t.k
 let depth t = t.depth
 let n_nodes t = t.n_nodes
+let n_leaves t = t.n_leaves
 let messages t = t.msg
 let rounds_last_sweep t = t.last_rounds
 let repairs t = t.repaired
@@ -76,13 +78,17 @@ let host_rank ids ~start ~len lo hi =
 let is_leaf ids ~start ~len lo hi =
   Array.length ids = 1 || hi = lo || (hi = lo + 1 && ids.(lo) = start + len - 1)
 
-(* [f start len lo hi] on each non-empty part of [Region.split], in
-   order, with the sub-range of [lo, hi) its ids occupy. *)
+(* The non-empty parts of [Region.split] of an interval of length
+   [len]: how many there are, and the length of part [i]. *)
+let n_parts k len = if len / k = 0 then len mod k else k
+let part_len k len i = (len / k) + if i < len mod k then 1 else 0
+
+(* [f start len lo hi] on each non-empty part, in order, with the
+   sub-range of [lo, hi) its ids occupy. *)
 let iter_children k ids ~start ~len lo hi f =
-  let base = len / k and extra = len mod k in
   let s = ref start and clo = ref lo in
-  for i = 0 to (if base = 0 then extra else k) - 1 do
-    let l = if i < extra then base + 1 else base in
+  for i = 0 to n_parts k len - 1 do
+    let l = part_len k len i in
     let chi = lower_bound ids !clo hi (!s + l) in
     f !s l !clo chi;
     s := !s + l;
@@ -132,7 +138,8 @@ let sync ~mode ~route_messages t dht =
   let k = t.k and oids = t.ids and ids = ring_ids dht in
   let n = Array.length ids in
   let leaf_of = Array.make n (-1) and hosted = Array.make n 0 in
-  let n_nodes = ref 0 and depth = ref 0 and moved = ref 0 in
+  let n_nodes = ref 0 and n_leaves = ref 0 and depth = ref 0 in
+  let moved = ref 0 in
   let charge m =
     t.msg <- t.msg + m;
     if mode = Repair then t.repair_msg <- t.repair_msg + m
@@ -146,6 +153,7 @@ let sync ~mode ~route_messages t dht =
     let r = host_rank ids ~start ~len lo hi in
     let host = ids.(r) and leaf = is_leaf ids ~start ~len lo hi in
     incr n_nodes;
+    if leaf then incr n_leaves;
     if d > !depth then depth := d;
     hosted.(r) <- hosted.(r) + 1;
     (* designated leaf: the deepest, the first in preorder on a tie *)
@@ -192,6 +200,7 @@ let sync ~mode ~route_messages t dht =
   t.leaf_of <- leaf_of;
   t.hosted <- hosted;
   t.n_nodes <- !n_nodes;
+  t.n_leaves <- !n_leaves;
   t.depth <- !depth;
   !moved
 
@@ -204,6 +213,7 @@ let build ?(route_messages = false) ~k dht =
       leaf_of = [||];
       hosted = [||];
       n_nodes = 0;
+      n_leaves = 0;
       depth = 0;
       msg = 0;
       last_rounds = 0;
@@ -296,31 +306,50 @@ let check_consistent t dht =
 
 (* ---- sweeps ---------------------------------------------------------- *)
 
-let sweep_up t ~at_leaf ~combine =
-  let ids = t.ids in
-  let rec visit ~start ~len d lo hi =
+(* The up-sweep descends only into subtrees holding an occupied
+   designated leaf: the sorted starts of those leaves are narrowed
+   beside the id range, and a child is entered when its interval still
+   holds one.  Each leaf has its own start, so a leaf reached this way
+   is an occupied designated leaf.  Messages and rounds are those of
+   the whole tree. *)
+let sweep_up t ~occupied ~at_leaf ~combine =
+  let ids = t.ids and mask = (1 lsl Id.bits) - 1 in
+  let starts = ref [] in
+  Array.iteri
+    (fun r packed ->
+      if packed >= 0 && occupied r then starts := (packed land mask) :: !starts)
+    t.leaf_of;
+  let starts = Array.of_list !starts in
+  Array.sort Int.compare starts;
+  let rec visit ~start ~len d lo hi plo phi =
     if is_leaf ids ~start ~len lo hi then at_leaf (slot t ~start ~len d lo hi) d
+    else combine d (children ~len d 0 start lo hi plo phi)
+  (* The visited results of parts [i], [i + 1], ... of a node of length
+     [len] at depth [d]; part [i] starts at [s], its ids at index [clo]
+     and its occupied starts at index [p]. *)
+  and children ~len d i s clo hi p phi =
+    if i = n_parts t.k len then []
     else begin
-      let results = ref [] in
-      iter_children t.k ids ~start ~len lo hi (fun s l clo chi ->
-          t.msg <- t.msg + 1;
-          results := visit ~start:s ~len:l (d + 1) clo chi :: !results);
-      combine d (List.rev !results)
+      let l = part_len t.k len i in
+      let chi = lower_bound ids clo hi (s + l) in
+      let pchi = lower_bound starts p phi (s + l) in
+      if pchi = p then children ~len d (i + 1) (s + l) chi hi pchi phi
+      else
+        let r = visit ~start:s ~len:l (d + 1) clo chi p pchi in
+        r :: children ~len d (i + 1) (s + l) chi hi pchi phi
     end
   in
-  let result = visit ~start:0 ~len:Id.space_size 0 0 (Array.length ids) in
+  let result =
+    visit ~start:0 ~len:Id.space_size 0 0 (Array.length ids) 0
+      (Array.length starts)
+  in
+  t.msg <- t.msg + t.n_nodes - 1;
   t.last_rounds <- t.depth + 1;
   result
 
-let sweep_down t ~at_root ~split ~at_leaf =
-  let ids = t.ids in
-  let rec visit ~start ~len d lo hi value =
-    if is_leaf ids ~start ~len lo hi then
-      at_leaf (slot t ~start ~len d lo hi) d value
-    else
-      iter_children t.k ids ~start ~len lo hi (fun s l clo chi ->
-          t.msg <- t.msg + 1;
-          visit ~start:s ~len:l (d + 1) clo chi (split (d + 1) value))
-  in
-  visit ~start:0 ~len:Id.space_size 0 0 (Array.length ids) at_root;
+let sweep_down t ~at_leaf =
+  for _ = 1 to t.n_leaves do
+    at_leaf ()
+  done;
+  t.msg <- t.msg + t.n_nodes - 1;
   t.last_rounds <- t.depth + 1

@@ -24,8 +24,8 @@ module Dht = P2plb_chord.Dht
     what the distributed protocol would send.  A host change (the node
     is re-planted) costs K+1 messages, a pruned child one, a planted
     child one plus, with [route_messages], the hops of its DHT lookup.
-    {!refresh} adds one heartbeat per edge; sweeps cost one message
-    per edge traversed. *)
+    {!refresh} adds one heartbeat per edge; a sweep costs one message
+    per edge of the tree. *)
 
 type t
 
@@ -63,6 +63,9 @@ val depth : t -> int
 
 val n_nodes : t -> int
 (** O(1). *)
+
+val n_leaves : t -> int
+(** KT leaves at the last sync.  O(1). *)
 
 val refresh : t -> Dht.t -> unit
 (** One periodic maintenance pass: re-resolve every KT node's hosting
@@ -107,26 +110,35 @@ val hosted : t -> Id.t -> int
 
     The communication patterns of LBI aggregation (bottom-up),
     dissemination (top-down) and VSA (bottom-up), over the tree of the
-    last sync.  Each traversed edge counts as one message; the number
-    of rounds equals the tree depth plus one.  A leaf is passed as its
-    slot (see {!slot_of_vs}; -1 unless it is its host's designated
-    leaf) and its depth; an internal node as its depth. *)
+    last sync.  A sweep is charged as the full tree's edges, one
+    message each ({!n_nodes} - 1), and {!depth} + 1 rounds, whichever
+    nodes the simulator actually visits: its work follows the reports,
+    its cost follows the tree.  A leaf is passed as its slot (see
+    {!slot_of_vs}) and its depth; an internal node as its depth. *)
 
 val sweep_up :
-  t -> at_leaf:(int -> int -> 'a) -> combine:(int -> 'a list -> 'a) -> 'a
-(** [at_leaf slot depth] runs on the leaves in preorder; [combine depth
-    children] runs at every internal node on its children's results in
-    child order, deepest first; returns the root's value. *)
-
-val sweep_down :
   t ->
-  at_root:'a ->
-  split:(int -> 'a -> 'a) ->
-  at_leaf:(int -> int -> 'a -> unit) ->
-  unit
-(** Pushes a value down from the root; [split depth v] transforms the
-    value as it crosses an edge into a node at [depth] (identity for
-    LBI dissemination); [at_leaf slot depth v] receives it. *)
+  occupied:(int -> bool) ->
+  at_leaf:(int -> int -> 'a) ->
+  combine:(int -> 'a list -> 'a) ->
+  'a
+(** [occupied slot] says whether a VS's designated leaf (see
+    {!slot_of_vs}) has something to report.  The sweep visits the root
+    and every node above an occupied designated leaf, nothing else:
+    [at_leaf slot depth] runs on those leaves in preorder, [combine
+    depth children] at each visited internal node on its visited
+    children's results in child order, deepest first, and the root's
+    value is returned.  When the root is a leaf, [at_leaf] runs on it
+    whatever [occupied] says; a root with no occupied leaf below it
+    gets [combine 0 []].  This equals the dense sweep over every node
+    exactly when an unoccupied subtree's result is a unit of
+    [combine] (LBI's zero, VSA's empty pool). *)
+
+val sweep_down : t -> at_leaf:(unit -> unit) -> unit
+(** Pushes the root's value down to every leaf: [at_leaf ()] runs once
+    per KT leaf of the last sync ({!n_leaves} times), designated or
+    not.  Only LBI dissemination pushes, and its value is the same at
+    every leaf, so the sweep carries none. *)
 
 (** {1 Cost accounting} *)
 

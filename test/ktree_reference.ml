@@ -4,11 +4,14 @@
    The production tree computes every KT node from the sorted VS ids
    instead of storing it; its contract is that every observable —
    n_nodes, depth, node shapes and hosts, designated leaves, per-VS
-   hosted counts, sweep results, message and repair counters, DHT
+   hosted counts, leaf counts, message and repair counters, DHT
    lookups and hops, and the order of kt/replant and kt/rehost trace
-   points — is EXACTLY what this implementation produces.  test_ktree
-   drives both through random join / crash / transfer histories and
-   checks agreement after every step. *)
+   points — is EXACTLY what this implementation produces.  Its sweeps
+   are sparse: the up-sweep's result is this dense sweep's with the
+   subtrees holding no occupied designated leaf dropped, and the
+   down-sweep reaches as many leaves.  test_ktree drives both through
+   random join / crash / transfer histories and checks agreement after
+   every step. *)
 
 module Id = P2plb_idspace.Id
 module Region = P2plb_idspace.Region

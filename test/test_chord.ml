@@ -198,6 +198,82 @@ let prop_join_leave_partition =
       in
       total = Id.space_size)
 
+let max_id = Id.space_size - 1
+
+let test_join_with_ids () =
+  let dht = Dht.create ~seed:0 in
+  ignore (Dht.join_with_ids dht ~capacity:1.0 ~underlay:0 [ 0; max_id ]);
+  check Alcotest.(list int) "chosen ids" [ 0; max_id ]
+    (Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v.Dht.vs_id :: acc) |> List.rev);
+  List.iter
+    (fun ids ->
+      match Dht.join_with_ids dht ~capacity:1.0 ~underlay:1 ids with
+      | _ -> Alcotest.fail "bad ids accepted"
+      | exception Invalid_argument _ -> ())
+    [ []; [ 0 ]; [ 5; 5 ]; [ Id.space_size ] ]
+
+(* ---- one-probe fingers against the scanning reference ---------------- *)
+
+module Scan = Chord_scan_reference
+
+(* A ring of one of five shapes: hashed ids from [join], one VS, two
+   VSs, both ends of the id space among random ids, or a tight cluster
+   around the wrap point.  Chosen ids get one node each. *)
+let shaped_ring rng shape =
+  let random_id () = Prng.int rng Id.space_size in
+  let ends () = [| 0; max_id; random_id () |].(Prng.int rng 3) in
+  let ids =
+    match shape with
+    | 0 -> []
+    | 1 -> [ ends () ]
+    | 2 ->
+      let a = ends () in
+      let rec other () = let b = random_id () in if b = a then other () else b in
+      [ a; (if Prng.bool rng then (a + 1) land max_id else other ()) ]
+    | 3 -> 0 :: max_id :: List.init (Prng.int rng 30) (fun _ -> random_id ())
+    | _ -> List.init (1 + Prng.int rng 12) (fun i -> (i - 6) land max_id)
+  in
+  match List.sort_uniq Int.compare ids with
+  | [] -> build_dht ~seed:(Prng.int rng 1000) ~nodes:(1 + Prng.int rng 20)
+            ~vs:(1 + Prng.int rng 4)
+  | ids ->
+    let dht = Dht.create ~seed:0 in
+    List.iteri
+      (fun i id ->
+        ignore (Dht.join_with_ids dht ~capacity:1.0 ~underlay:i [ id ]))
+      ids;
+    dht
+
+let prop_one_probe_finger_matches_scan =
+  QCheck.Test.make ~name:"lookup = scanning reference (owner, hops)"
+    ~count:200
+    QCheck.(pair small_int (int_range 0 4))
+    (fun (seed, shape) ->
+      let rng = Prng.create ~seed in
+      let dht = shaped_ring rng shape in
+      let ids = Scan.ring_ids dht in
+      let n = Array.length ids in
+      let succ id = ids.(Scan.successor_idx ids ((id + 1) land max_id)) in
+      let pred id = ids.((Scan.lower_bound ids id + n - 1) mod n) in
+      Array.iter
+        (fun from ->
+          let keys =
+            [ from; (from + 1) land max_id; succ from; pred from; 0; max_id ]
+            @ List.init 8 (fun _ -> Prng.int rng Id.space_size)
+          in
+          List.iter
+            (fun key ->
+              let owner, hops = Dht.lookup dht ~from ~key in
+              check
+                Alcotest.(pair int int)
+                (Printf.sprintf "seed %d shape %d from %d key %d" seed shape
+                   from key)
+                (Scan.lookup dht ~from ~key)
+                (owner.Dht.vs_id, hops))
+            keys)
+        ids;
+      true)
+
 let () =
   Alcotest.run "chord"
     [
@@ -208,6 +284,7 @@ let () =
       ( "membership",
         [
           Alcotest.test_case "join counts" `Quick test_join_counts;
+          Alcotest.test_case "join with chosen ids" `Quick test_join_with_ids;
           Alcotest.test_case "regions partition" `Quick
             test_regions_partition_ring;
           Alcotest.test_case "owner matches region" `Quick
@@ -237,5 +314,9 @@ let () =
           Alcotest.test_case "hop bound" `Quick test_lookup_hop_bound;
           Alcotest.test_case "counters" `Quick test_counters;
         ] );
-      ("properties", [ qtest prop_join_leave_partition ]);
+      ( "properties",
+        [
+          qtest prop_join_leave_partition;
+          qtest prop_one_probe_finger_matches_scan;
+        ] );
     ]

@@ -46,33 +46,47 @@ let test_root_region_whole () =
   check Alcotest.bool "root owns everything" true
     (Region.is_whole (Option.get root).Ktree.region)
 
-(* The leaves in preorder, as [(host, designated)] pairs. *)
-let leaves tree =
-  let hosts =
-    Ktree.fold_nodes tree ~init:[] ~f:(fun acc n ->
-        if n.Ktree.leaf then n.Ktree.host :: acc else acc)
+(* Each VS's designated leaf by the §3.2 rule, recomputed from
+   [fold_nodes]: its deepest leaf, the first in preorder on a tie.
+   Returns the designated leaves' hosts in preorder. *)
+let designated_hosts tree =
+  let leaves =
+    List.rev
+      (Ktree.fold_nodes tree ~init:[] ~f:(fun acc n ->
+           if n.Ktree.leaf then n :: acc else acc))
   in
-  let designated =
-    Ktree.sweep_up tree
-      ~at_leaf:(fun slot _ -> [ slot ])
-      ~combine:(fun _ children -> List.concat children)
-  in
-  List.combine (List.rev hosts) designated
+  let best = Hashtbl.create 64 in
+  List.iteri
+    (fun i n ->
+      match Hashtbl.find_opt best n.Ktree.host with
+      | Some (_, d) when d >= n.Ktree.depth -> ()
+      | _ -> Hashtbl.replace best n.Ktree.host (i, n.Ktree.depth))
+    leaves;
+  List.filteri
+    (fun i n -> fst (Hashtbl.find best n.Ktree.host) = i)
+    leaves
+  |> List.map (fun n -> n.Ktree.host)
+
+(* The slots [sweep_up] hands its leaves, in preorder. *)
+let swept_slots ~occupied tree =
+  Ktree.sweep_up tree ~occupied
+    ~at_leaf:(fun slot _ -> [ slot ])
+    ~combine:(fun _ children -> List.concat children)
 
 let test_every_vs_hosts_a_leaf () =
   (* The §3.1 guarantee; check_consistent verifies it, but assert every
-     VS has a slot and exactly one designated leaf it hosts, too. *)
+     VS has a slot, and that a sweep with every slot occupied reaches
+     exactly the designated leaves, each handed its host's slot. *)
   let dht = build_dht ~seed:5 ~nodes:25 ~vs:3 in
   let tree = Ktree.build ~k:2 dht in
-  let leaves = leaves tree in
   Dht.fold_vs dht ~init:() ~f:(fun () v ->
-      let slot = Ktree.slot_of_vs tree v.Dht.vs_id in
-      check Alcotest.bool "VS has a slot" true (slot >= 0);
-      check Alcotest.(list int) "one designated leaf, hosted by the VS"
-        [ v.Dht.vs_id ]
-        (List.filter_map
-           (fun (host, s) -> if s = slot then Some host else None)
-           leaves))
+      check Alcotest.bool "VS has a slot" true
+        (Ktree.slot_of_vs tree v.Dht.vs_id >= 0));
+  check Alcotest.int "one designated leaf per VS" (Dht.n_vs dht)
+    (List.length (designated_hosts tree));
+  check Alcotest.(list int) "designated leaves, with their hosts' slots"
+    (List.map (Ktree.slot_of_vs tree) (designated_hosts tree))
+    (swept_slots ~occupied:(fun _ -> true) tree)
 
 let test_leaves_partition_ring () =
   let dht = build_dht ~seed:6 ~nodes:20 ~vs:3 in
@@ -93,33 +107,45 @@ let test_depth_bounded () =
 let test_sweep_up_counts_leaves () =
   let dht = build_dht ~seed:8 ~nodes:15 ~vs:3 in
   let tree = Ktree.build ~k:2 dht in
-  let total =
+  let slots = List.map (Ktree.slot_of_vs tree) (designated_hosts tree) in
+  let odd slot = slot mod 2 = 1 in
+  check Alcotest.(list int) "sweep_up visits the occupied leaves"
+    (List.filter odd slots) (swept_slots ~occupied:odd tree);
+  check Alcotest.(list int) "and every designated leaf when all are"
+    slots (swept_slots ~occupied:(fun _ -> true) tree);
+  let root_children =
     Ktree.sweep_up tree
-      ~at_leaf:(fun _ _ -> 1)
-      ~combine:(fun _ children -> List.fold_left ( + ) 0 children)
+      ~occupied:(fun _ -> false)
+      ~at_leaf:(fun _ _ -> Alcotest.fail "unoccupied leaf visited")
+      ~combine:(fun d children -> (d, List.length children))
   in
-  check Alcotest.int "sweep_up visits every leaf" (List.length (leaves tree))
-    total;
-  check Alcotest.bool "rounds recorded" true (Ktree.rounds_last_sweep tree > 0)
+  check Alcotest.(pair int int) "none occupied: the bare root" (0, 0)
+    root_children;
+  check Alcotest.int "rounds recorded" (Ktree.depth tree + 1)
+    (Ktree.rounds_last_sweep tree)
 
 let test_sweep_down_reaches_leaves () =
   let dht = build_dht ~seed:9 ~nodes:15 ~vs:3 in
   let tree = Ktree.build ~k:2 dht in
+  let leaves =
+    Ktree.fold_nodes tree ~init:0 ~f:(fun acc n ->
+        if n.Ktree.leaf then acc + 1 else acc)
+  in
   let hits = ref 0 in
-  Ktree.sweep_down tree ~at_root:42
-    ~split:(fun _ v -> v)
-    ~at_leaf:(fun _ _ v ->
-      check Alcotest.int "value propagated" 42 v;
-      incr hits);
-  check Alcotest.int "all leaves reached" (List.length (leaves tree)) !hits
+  Ktree.sweep_down tree ~at_leaf:(fun () -> incr hits);
+  check Alcotest.int "n_leaves" leaves (Ktree.n_leaves tree);
+  check Alcotest.int "one call per leaf" leaves !hits
 
 let test_sweep_messages_counted () =
   let dht = build_dht ~seed:10 ~nodes:10 ~vs:2 in
   let tree = Ktree.build ~k:2 dht in
   Ktree.reset_counters tree;
   ignore
-    (Ktree.sweep_up tree ~at_leaf:(fun _ _ -> ()) ~combine:(fun _ _ -> ()));
-  (* one message per edge = n_nodes - 1 *)
+    (Ktree.sweep_up tree
+       ~occupied:(fun _ -> false)
+       ~at_leaf:(fun _ _ -> ())
+       ~combine:(fun _ _ -> ()));
+  (* one message per edge = n_nodes - 1, however few nodes are visited *)
   check Alcotest.int "edges traversed" (Ktree.n_nodes tree - 1)
     (Ktree.messages tree)
 
@@ -199,10 +225,14 @@ let test_sweeps_cost_one_message_per_edge () =
   let tree = Ktree.build ~k:2 dht in
   let edges = Ktree.n_nodes tree - 1 in
   Ktree.reset_counters tree;
-  ignore (Ktree.sweep_up tree ~at_leaf:(fun _ _ -> ()) ~combine:(fun _ _ -> ()));
+  ignore
+    (Ktree.sweep_up tree
+       ~occupied:(fun slot -> slot mod 3 = 0)
+       ~at_leaf:(fun _ _ -> ())
+       ~combine:(fun _ _ -> ()));
   check Alcotest.int "sweep_up = n_nodes - 1" edges (Ktree.messages tree);
   Ktree.reset_counters tree;
-  Ktree.sweep_down tree ~at_root:() ~split:(fun _ v -> v) ~at_leaf:(fun _ _ _ -> ());
+  Ktree.sweep_down tree ~at_leaf:ignore;
   check Alcotest.int "sweep_down = n_nodes - 1" edges (Ktree.messages tree)
 
 let test_refresh_stable_ring_costs_heartbeats () =
@@ -281,58 +311,44 @@ let imp_shape t =
            ~host:n.Ktree.host ~leaf:n.Ktree.leaf
          :: acc))
 
-(* Sweep results: the up-sweep's nested term, then the down-sweep's
-   leaf values, each leaf marked [*] when it is its host's designated
-   leaf. *)
-let star designated = if designated then "*" else ""
-
-let ref_sweeps r =
+(* Up-sweep results as nested terms, a leaf written "depth*slot".  The
+   reference sweeps densely, every leaf reporting whether it is an
+   occupied designated leaf, and drops the terms of subtrees without
+   one; the root is always kept.  Its slots come from the leaves'
+   hosts, so agreement also checks that the implicit sweep hands each
+   leaf its host's slot. *)
+let ref_sweep_up r t ~occupied =
   ignore (Ref.leaf_assignment r);
-  let up =
-    Ref.sweep_up r
-      ~at_leaf:(fun l ->
-        Printf.sprintf "%d%s" l.Ref.depth (star (Ref.leaf_slot l >= 0)))
-      ~combine:(fun n cs ->
-        Printf.sprintf "%d(%s)" n.Ref.depth (String.concat " " cs))
-  in
-  let down = ref [] in
-  Ref.sweep_down r ~at_root:1
-    ~split:(fun n v -> ((v * 7) + n.Ref.depth) land 0xffffff)
-    ~at_leaf:(fun l v ->
-      let mark = star (Ref.leaf_slot l >= 0) in
-      down := Printf.sprintf "%d%s=%d" l.Ref.depth mark v :: !down);
-  (up, List.rev !down)
+  snd
+    (Ref.sweep_up r
+       ~at_leaf:(fun l ->
+         let slot =
+           if Ref.leaf_slot l >= 0 then Ktree.slot_of_vs t l.Ref.host else -1
+         in
+         (slot >= 0 && occupied slot, Printf.sprintf "%d*%d" l.Ref.depth slot))
+       ~combine:(fun n cs ->
+         let kept = List.filter fst cs in
+         ( List.exists fst cs,
+           Printf.sprintf "%d(%s)" n.Ref.depth
+             (String.concat " " (List.map snd kept)) )))
 
-(* The implicit tree's slots must also name the leaf's host. *)
-let imp_sweeps t =
-  let leaf_hosts =
-    ref
-      (List.rev
-         (Ktree.fold_nodes t ~init:[] ~f:(fun acc n ->
-              if n.Ktree.leaf then n.Ktree.host :: acc else acc)))
-  in
-  let designated slot =
-    match !leaf_hosts with
-    | [] -> Alcotest.fail "more leaves swept than folded"
-    | host :: rest ->
-      leaf_hosts := rest;
-      if slot >= 0 then
-        check Alcotest.int "slot is the host's" (Ktree.slot_of_vs t host) slot;
-      slot >= 0
-  in
-  let up =
-    Ktree.sweep_up t
-      ~at_leaf:(fun slot d -> Printf.sprintf "%d%s" d (star (designated slot)))
-      ~combine:(fun d cs -> Printf.sprintf "%d(%s)" d (String.concat " " cs))
-  in
-  let down = ref [] in
-  Ktree.sweep_down t ~at_root:1
-    ~split:(fun d v -> ((v * 7) + d) land 0xffffff)
-    ~at_leaf:(fun slot d v ->
-      down := Printf.sprintf "%d%s=%d" d (star (slot >= 0)) v :: !down);
-  (up, List.rev !down)
+let imp_sweep_up t ~occupied =
+  Ktree.sweep_up t ~occupied
+    ~at_leaf:(fun slot d -> Printf.sprintf "%d*%d" d slot)
+    ~combine:(fun d cs -> Printf.sprintf "%d(%s)" d (String.concat " " cs))
 
-let agree ~what r t dht (r_obs, t_obs) =
+(* Leaves the down-sweeps reach. *)
+let ref_sweep_down r =
+  let n = ref 0 in
+  Ref.sweep_down r ~at_root:() ~split:(fun _ v -> v) ~at_leaf:(fun _ () -> incr n);
+  !n
+
+let imp_sweep_down t =
+  let n = ref 0 in
+  Ktree.sweep_down t ~at_leaf:(fun () -> incr n);
+  !n
+
+let agree ~what ~pick r t dht (r_obs, t_obs) =
   let ctx s = Printf.sprintf "%s: %s" what s in
   let int name a b = check Alcotest.int (ctx name) a b in
   int "n_nodes" (Ref.n_nodes r) (Ktree.n_nodes t);
@@ -354,9 +370,12 @@ let agree ~what r t dht (r_obs, t_obs) =
              if n.Ref.host = id then c + 1 else c))
         (Ktree.hosted t id))
     ids;
-  let (r_up, r_down) = ref_sweeps r and (t_up, t_down) = imp_sweeps t in
-  check Alcotest.string (ctx "sweep_up") r_up t_up;
-  check Alcotest.(list string) (ctx "sweep_down") r_down t_down;
+  let occupied_slots = List.map (Ktree.slot_of_vs t) (List.filter pick ids) in
+  let occupied slot = List.exists (Int.equal slot) occupied_slots in
+  check Alcotest.string (ctx "sweep_up")
+    (ref_sweep_up r t ~occupied) (imp_sweep_up t ~occupied);
+  int "n_leaves" (Ref.n_leaves r) (Ktree.n_leaves t);
+  int "sweep_down leaves" (ref_sweep_down r) (imp_sweep_down t);
   int "messages" (Ref.messages r) (Ktree.messages t);
   int "rounds_last_sweep" (Ref.rounds_last_sweep r) (Ktree.rounds_last_sweep t);
   int "repairs" (Ref.repairs r) (Ktree.repairs t);
@@ -372,6 +391,7 @@ let agree ~what r t dht (r_obs, t_obs) =
    each must spend the same DHT lookups and hops. *)
 let agreement_run ~route_messages ~k seed =
   let rng = Prng.create ~seed in
+  let occ_rng = Prng.create ~seed:(seed + 1_000_003) in
   let nodes = 1 + Prng.int rng 20 in
   let dht = build_dht ~seed ~nodes ~vs:(1 + Prng.int rng 4) in
   let obs = (P2plb_obs.Obs.create (), P2plb_obs.Obs.create ()) in
@@ -438,10 +458,34 @@ let agreement_run ~route_messages ~k seed =
           (fun () -> Ktree.refresh !t dht; 0);
         "refresh"
     in
+    (* occupied designated leaves: none, all, or a random subset *)
+    let pick =
+      match step mod 3 with
+      | 0 -> fun _ -> false
+      | 1 -> fun _ -> true
+      | _ -> fun _ -> Prng.bool occ_rng
+    in
     agree ~what:(Printf.sprintf "seed %d k=%d step %d (%s)" seed k step what)
-      !r !t dht obs
+      ~pick !r !t dht obs
   done;
   true
+
+(* A single-VS ring: the root is a leaf, so both sweeps visit it
+   whatever is occupied. *)
+let test_single_vs_agrees () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun occupied ->
+          let dht = build_dht ~seed:31 ~nodes:1 ~vs:1 in
+          let obs = (P2plb_obs.Obs.create (), P2plb_obs.Obs.create ()) in
+          let r = Ref.build ~k dht and t = Ktree.build ~k dht in
+          agree
+            ~what:(Printf.sprintf "single VS k=%d occupied %b" k occupied)
+            ~pick:(fun _ -> occupied)
+            r t dht obs)
+        [ false; true ])
+    [ 2; 8 ]
 
 let prop_agrees_with_reference ~route_messages =
   QCheck.Test.make
@@ -502,6 +546,8 @@ let () =
         [
           qtest prop_tree_consistent_for_any_ring;
           qtest prop_k8_consistent;
+          Alcotest.test_case "single-VS ring agrees with the reference"
+            `Quick test_single_vs_agrees;
           qtest (prop_agrees_with_reference ~route_messages:false);
           qtest (prop_agrees_with_reference ~route_messages:true);
         ] );
