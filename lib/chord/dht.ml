@@ -10,6 +10,8 @@ type vs = {
   mutable load : float;
 }
 
+type ring = { ids : int array; vss : vs array }
+
 type node = {
   node_id : node_id;
   underlay : int;
@@ -21,145 +23,103 @@ type node = {
 type t = {
   rng : Prng.t;
   mutable ring : vs Ring_map.t;
-  nodes : (node_id, node) Hashtbl.t;
-  mutable next_node_id : int;
+  (* Node ids are dense and handed out in join order, so the node
+     table is an array indexed by id; [nodes.(0 .. n_joined - 1)] are
+     the nodes ever joined, alive or not. *)
+  mutable nodes : node array;
+  mutable n_joined : int;
+  mutable n_alive : int;
   mutable lookup_count : int;
   mutable hop_count : int;
-  (* Alive-node cache: nodes in join (= increasing node_id) order, so
-     the prefix [0, live_n) reproduces the historical
-     Hashtbl.fold + sort order exactly.  Departures only mark entries
-     dead; the prefix is re-packed lazily before indexed access. *)
-  mutable live : node array;
-  mutable live_n : int;
-  mutable live_dead : int;
-  mutable n_alive : int;
-  (* Ring snapshot: all VS ids sorted ascending with the VS records in
-     a parallel array, rebuilt lazily after ring mutations.  Lets the
-     read-heavy routing paths (lookup, owner_of_key, region_of_vs)
-     binary-search without allocating Map query results.  [snap_n] < 0
-     means invalid. *)
-  mutable snap_ids : int array;
-  mutable snap_vss : vs array;
-  mutable snap_n : int;
+  (* All VS ids sorted ascending with the VS records in a parallel
+     array, built on the first read after a membership change and never
+     mutated ([None] until then).  Lets the routing paths (lookup,
+     owner_of_key, region_of_vs) binary-search, and {!Ktree} sync
+     against the ring without a copy of its own. *)
+  mutable snap : ring option;
 }
 
 let create ~seed =
   {
     rng = Prng.create ~seed;
     ring = Ring_map.empty;
-    nodes = Hashtbl.create 4096;
-    next_node_id = 0;
+    nodes = [||];
+    n_joined = 0;
+    n_alive = 0;
     lookup_count = 0;
     hop_count = 0;
-    live = [||];
-    live_n = 0;
-    live_dead = 0;
-    n_alive = 0;
-    snap_ids = [||];
-    snap_vss = [||];
-    snap_n = -1;
+    snap = None;
   }
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> raise Not_found
+  if id < 0 || id >= t.n_joined then raise Not_found else t.nodes.(id)
 
-let is_alive t id =
-  match Hashtbl.find_opt t.nodes id with Some n -> n.alive | None -> false
-
+let is_alive t id = id >= 0 && id < t.n_joined && t.nodes.(id).alive
 let n_nodes t = t.n_alive
-
 let n_vs t = Ring_map.cardinal t.ring
 
-(* --- Alive-node cache ------------------------------------------------- *)
-
-let live_append t n =
-  let cap = Array.length t.live in
-  if t.live_n = cap then begin
-    let bigger = Array.make (if cap = 0 then 1024 else 2 * cap) n in
-    Array.blit t.live 0 bigger 0 t.live_n;
-    t.live <- bigger
-  end;
-  t.live.(t.live_n) <- n;
-  t.live_n <- t.live_n + 1
-
-let live_compact t =
-  if t.live_dead > 0 then begin
-    let j = ref 0 in
-    for i = 0 to t.live_n - 1 do
-      let n = t.live.(i) in
-      if n.alive then begin
-        t.live.(!j) <- n;
-        incr j
-      end
-    done;
-    t.live_n <- !j;
-    t.live_dead <- 0
-  end
-
-let alive_nodes t =
-  live_compact t;
-  let acc = ref [] in
-  for i = t.live_n - 1 downto 0 do
-    acc := t.live.(i) :: !acc
-  done;
-  !acc
-
-let dead_nodes t =
-  let all =
-    Hashtbl.fold (fun _ n acc -> if n.alive then acc else n :: acc) t.nodes []
-  in
-  List.sort (fun a b -> Int.compare a.node_id b.node_id) all
+(* --- Node table ------------------------------------------------------- *)
 
 let fold_nodes t ~init ~f =
-  live_compact t;
   let acc = ref init in
-  for i = 0 to t.live_n - 1 do
-    acc := f !acc t.live.(i)
+  for id = 0 to t.n_joined - 1 do
+    let n = t.nodes.(id) in
+    if n.alive then acc := f !acc n
   done;
   !acc
 
+(* The nodes whose [alive] flag is [alive], in increasing id order. *)
+let nodes_with t ~alive =
+  let acc = ref [] in
+  for id = t.n_joined - 1 downto 0 do
+    let n = t.nodes.(id) in
+    if n.alive = alive then acc := n :: !acc
+  done;
+  !acc
+
+let alive_nodes t = nodes_with t ~alive:true
+let dead_nodes t = nodes_with t ~alive:false
+
 let alive_nth t i =
-  live_compact t;
-  if i < 0 || i >= t.live_n then invalid_arg "Dht.alive_nth";
-  t.live.(i)
+  if i < 0 || i >= t.n_alive then invalid_arg "Dht.alive_nth";
+  let rec go id seen =
+    let n = t.nodes.(id) in
+    if not n.alive then go (id + 1) seen
+    else if seen = i then n
+    else go (id + 1) (seen + 1)
+  in
+  go 0 0
 
 (* --- Ring snapshot ---------------------------------------------------- *)
 
-let snap_invalidate t = t.snap_n <- -1
+let snapshot t =
+  match t.snap with
+  | Some s -> s
+  | None ->
+    (* One in-order pass into an exact-size array that starts out
+       holding the smallest VS, slot 0's own value.  Going through a
+       list instead would promote its cells on every rebuild, which
+       churn (a rebuild per crash) pays for in GC time. *)
+    let vss =
+      match Ring_map.successor 0 t.ring with
+      | None -> [||]
+      | Some (_, smallest) -> Array.make (Ring_map.cardinal t.ring) smallest
+    in
+    ignore
+      (Ring_map.fold
+         (fun _ v i ->
+           vss.(i) <- v;
+           i + 1)
+         t.ring 0);
+    let s = { ids = Array.map (fun v -> v.vs_id) vss; vss } in
+    t.snap <- Some s;
+    s
 
-let snap_refresh t =
-  if t.snap_n < 0 then begin
-    let n = Ring_map.cardinal t.ring in
-    if n = 0 then t.snap_n <- 0
-    else begin
-      if Array.length t.snap_ids < n then begin
-        let cap = Int.max 16 (Int.max n (2 * Array.length t.snap_ids)) in
-        let fill =
-          (* ids are >= 0, so successor(0) is the smallest binding *)
-          match Ring_map.successor 0 t.ring with
-          | Some (_, v) -> v
-          | None -> assert false
-        in
-        t.snap_ids <- Array.make cap 0;
-        t.snap_vss <- Array.make cap fill
-      end;
-      let i = ref 0 in
-      Ring_map.iter
-        (fun k v ->
-          t.snap_ids.(!i) <- k;
-          t.snap_vss.(!i) <- v;
-          incr i)
-        t.ring;
-      t.snap_n <- n
-    end
-  end
+let ring_ids t = (snapshot t).ids
 
-(* Index of the first snapshot id >= k, or snap_n if none. *)
-let snap_lower_bound t k =
-  let ids = t.snap_ids in
-  let lo = ref 0 and hi = ref t.snap_n in
+(* Index of the first id >= k in [ids], or its length if none. *)
+let lower_bound ids k =
+  let lo = ref 0 and hi = ref (Array.length ids) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if ids.(mid) >= k then hi := mid else lo := mid + 1
@@ -167,14 +127,14 @@ let snap_lower_bound t k =
   !lo
 
 (* successor(k): first id >= k, wrapping to the smallest. *)
-let snap_successor_idx t k =
-  let i = snap_lower_bound t k in
-  if i = t.snap_n then 0 else i
+let successor_idx ids k =
+  let i = lower_bound ids k in
+  if i = Array.length ids then 0 else i
 
 (* predecessor_strict(k): last id < k, wrapping to the largest. *)
-let snap_predecessor_strict_idx t k =
-  let i = snap_lower_bound t k in
-  if i = 0 then t.snap_n - 1 else i - 1
+let predecessor_strict_idx ids k =
+  let i = lower_bound ids k in
+  if i = 0 then Array.length ids - 1 else i - 1
 
 let fold_vs t ~init ~f =
   Ring_map.fold (fun _ v acc -> f acc v) t.ring init
@@ -194,9 +154,9 @@ let region_of_vs_map t v =
   else Region.between_excl_incl ~lo:pred ~hi:v.vs_id
 
 let predecessor_id t id =
-  snap_refresh t;
-  if t.snap_n = 0 then id (* single VS: whole ring *)
-  else t.snap_ids.(snap_predecessor_strict_idx t id)
+  let ids = ring_ids t in
+  if Array.length ids = 0 then id
+  else ids.(predecessor_strict_idx ids id)
 
 let region_of_vs t v =
   let pred = predecessor_id t v.vs_id in
@@ -204,9 +164,9 @@ let region_of_vs t v =
   else Region.between_excl_incl ~lo:pred ~hi:v.vs_id
 
 let owner_of_key t k =
-  snap_refresh t;
-  if t.snap_n = 0 then invalid_arg "Dht.owner_of_key: empty ring"
-  else t.snap_vss.(snap_successor_idx t k)
+  let { ids; vss } = snapshot t in
+  if Array.length ids = 0 then invalid_arg "Dht.owner_of_key: empty ring"
+  else vss.(successor_idx ids k)
 
 let set_vs_load _t v load =
   if load < 0.0 then invalid_arg "Dht.set_vs_load: negative load";
@@ -273,18 +233,22 @@ let insert_vs t v =
     end
   | _ -> ());
   t.ring <- Ring_map.add v.vs_id v t.ring;
-  snap_invalidate t
+  t.snap <- None
 
 (* A new node whose [n_vs] VSs get the ids [vs_id ~node_id ~index],
    each inserted before the next id is chosen. *)
 let add_node t ~capacity ~underlay ~n_vs ~vs_id =
   if capacity <= 0.0 then invalid_arg "Dht.join: capacity <= 0";
   if n_vs < 1 then invalid_arg "Dht.join: n_vs < 1";
-  let node_id = t.next_node_id in
-  t.next_node_id <- node_id + 1;
+  let node_id = t.n_joined in
   let n = { node_id; underlay; capacity; alive = true; vss = [] } in
-  Hashtbl.add t.nodes node_id n;
-  live_append t n;
+  if node_id = Array.length t.nodes then begin
+    let bigger = Array.make (Int.max 1024 (2 * node_id)) n in
+    Array.blit t.nodes 0 bigger 0 node_id;
+    t.nodes <- bigger
+  end;
+  t.nodes.(node_id) <- n;
+  t.n_joined <- node_id + 1;
   t.n_alive <- t.n_alive + 1;
   for index = 0 to n_vs - 1 do
     let v = { vs_id = vs_id ~node_id ~index; owner = node_id; load = 0.0 } in
@@ -310,20 +274,24 @@ let delete_vs_absorb t v =
   if Ring_map.cardinal t.ring <= 1 then
     invalid_arg "Dht.remove_vs: cannot remove the last VS";
   t.ring <- Ring_map.remove v.vs_id t.ring;
-  snap_invalidate t;
+  t.snap <- None;
   (match Ring_map.successor v.vs_id t.ring with
   | Some (_, succ) -> succ.load <- succ.load +. v.load
   | None -> assert false);
   let owner = node t v.owner in
   owner.vss <- List.filter (fun x -> x.vs_id <> v.vs_id) owner.vss
 
+let can_crash t id =
+  is_alive t id && t.n_alive > 1 && List.length t.nodes.(id).vss < n_vs t
+
 let crash t id =
   let n = node t id in
   if n.alive then begin
+    if not (can_crash t id) then
+      invalid_arg "Dht.crash: would empty the ring";
     List.iter (fun v -> delete_vs_absorb t v) n.vss;
     n.vss <- [];
     n.alive <- false;
-    t.live_dead <- t.live_dead + 1;
     t.n_alive <- t.n_alive - 1
   end
 
@@ -352,16 +320,15 @@ let transfer_vs t ~vs_id ~to_node =
    successor(cur + 2^k) lying strictly inside (cur, key).  With [p] the
    last ring id before [key], such a finger exists exactly when
    2^k <= distance_cw cur p, so the largest one takes the largest such
-   k: one probe instead of a scan from k = 31 down.  Runs on the ring
-   snapshot (caller refreshes) and returns the finger's snapshot index,
-   or -1 when no finger qualifies ([p = cur]), avoiding an option
-   allocation per probe. *)
-let closest_preceding_finger t ~cur ~p =
+   k: one probe instead of a scan from k = 31 down.  Returns the
+   finger's index in the snapshot ids, or -1 when no finger qualifies
+   ([p = cur]), avoiding an option allocation per probe. *)
+let closest_preceding_finger ids ~cur ~p =
   let d = Id.distance_cw cur p in
   if d = 0 then -1
   else begin
     let rec floor_log2 k d = if d > 1 then floor_log2 (k + 1) (d lsr 1) else k in
-    snap_successor_idx t (Id.add cur (1 lsl floor_log2 0 d))
+    successor_idx ids (Id.add cur (1 lsl floor_log2 0 d))
   end
 
 (* The walk keeps the snapshot index of the current VS, so its
@@ -371,17 +338,17 @@ let lookup t ~from ~key =
   if not (Ring_map.mem from t.ring) then
     invalid_arg "Dht.lookup: unknown source VS";
   t.lookup_count <- t.lookup_count + 1;
-  snap_refresh t;
-  let ids = t.snap_ids and n = t.snap_n in
-  let fi = snap_lower_bound t from in
+  let { ids; vss } = snapshot t in
+  let n = Array.length ids in
+  let fi = lower_bound ids from in
   let pred_from = ids.((fi + n - 1) mod n) in
   if Id.in_range_excl_incl key ~lo:pred_from ~hi:from
      && (pred_from <> from || key = from)
-  then (t.snap_vss.(fi), 0)
+  then (vss.(fi), 0)
   else if pred_from = from then (* single VS owns everything *)
-    (t.snap_vss.(fi), 0)
+    (vss.(fi), 0)
   else begin
-    let p = ids.(snap_predecessor_strict_idx t key) in
+    let p = ids.(predecessor_strict_idx ids key) in
     let hops = ref 0 in
     let ci = ref fi in
     let result = ref (-1) in
@@ -392,13 +359,13 @@ let lookup t ~from ~key =
       let cur = ids.(!ci) and si = (!ci + 1) mod n in
       if Id.in_range_excl_incl key ~lo:cur ~hi:ids.(si) then result := si
       else begin
-        let next = closest_preceding_finger t ~cur ~p in
+        let next = closest_preceding_finger ids ~cur ~p in
         (* No finger strictly precedes the key: hand to successor. *)
         ci := if next >= 0 then next else si
       end
     done;
     t.hop_count <- t.hop_count + !hops;
-    (t.snap_vss.(!result), !hops)
+    (vss.(!result), !hops)
   end
 
 let lookups_performed t = t.lookup_count

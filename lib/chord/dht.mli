@@ -55,7 +55,14 @@ val join_with_ids :
 val crash : t -> node_id -> unit
 (** Fail-stop departure, modelled as the post-repair state: each VS's
     region and load are absorbed by its successor VS (replication is
-    assumed to have preserved the objects and hence the load). *)
+    assumed to have preserved the objects and hence the load).  Raises
+    [Invalid_argument] when the crash would empty the ring; see
+    {!can_crash}. *)
+
+val can_crash : t -> node_id -> bool
+(** The one rule every crash site follows: the node is alive, another
+    node is alive, and the node does not host every VS (its VSs'
+    successors must survive to absorb them). *)
 
 val node : t -> node_id -> node
 (** Raises [Not_found] for unknown ids. *)
@@ -78,15 +85,25 @@ val alive_nodes : t -> node list
 val alive_nth : t -> int -> node
 (** [alive_nth t i] is the [i]-th alive node in increasing [node_id]
     order — [List.nth (alive_nodes t) i] without building the list.
-    O(1) amortised (nodes are cached in join order; departures repack
-    the cache lazily).  Raises [Invalid_argument] when [i] is out of
-    range. *)
+    One scan of the node table (indexed by [node_id], dead nodes
+    included): O(nodes ever joined).  Raises [Invalid_argument] when
+    [i] is out of range. *)
 
 val dead_nodes : t -> node list
 (** Departed/crashed nodes, in increasing [node_id] order — for
     live-node-scoped invariant checks. *)
 
 (** {1 Virtual servers, regions and load} *)
+
+val ring_ids : t -> Id.t array
+(** All VS ids in ascending order.  The array is shared, not copied:
+    callers must never mutate it.  The DHT never mutates it either; it
+    is the same array (physically) until the ring gains or loses a VS,
+    and a fresh one afterwards, so [ring_ids t == a] tells whether the
+    ring still has the ids it had when [a] was read.  Moving a VS
+    ({!transfer_vs}) or changing its load keeps the array.  Built on
+    the first read after a membership change: O(VSs) then, O(1)
+    otherwise. *)
 
 val vs_of_id : t -> Id.t -> vs option
 val region_of_vs : t -> vs -> Region.t

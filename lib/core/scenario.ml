@@ -97,13 +97,12 @@ let join_nodes t n =
 
 let crash_nodes t n =
   for _ = 1 to n do
-    let alive = Dht.alive_nodes t.dht in
-    match alive with
-    | [] | [ _ ] -> ()
-    | _ :: _ ->
-      let arr = Array.of_list alive in
-      let victim = arr.(Prng.int t.rng (Array.length arr)) in
-      Dht.crash t.dht victim.Dht.node_id
+    let n_alive = Dht.n_nodes t.dht in
+    if n_alive > 1 then begin
+      let victim = Dht.alive_nth t.dht (Prng.int t.rng n_alive) in
+      let victim = victim.Dht.node_id in
+      if Dht.can_crash t.dht victim then Dht.crash t.dht victim
+    end
   done
 
 let unit_loads t =

@@ -62,8 +62,9 @@ val join_nodes : t -> int -> unit
     the proportional share of load, so total load is preserved. *)
 
 val crash_nodes : t -> int -> unit
-(** Churn: fail-stop [n] random alive nodes (at least one node always
-    survives). *)
+(** Churn: [n] times, draw a random alive node and fail-stop it unless
+    {!Dht.can_crash} forbids it (the last alive node, or one hosting
+    every VS, survives). *)
 
 val unit_loads : t -> float array
 (** Load per capacity for each alive node, in node-id order — the

@@ -69,13 +69,10 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
   (* Per-assignment sequence numbers: the pair (vs id, seq) names one
      transaction, so a replayed TRANSFER is recognised and dropped. *)
   let seq = ref 0 in
-  (* Mid-window fail-stop, mirroring the multiround crash guard: never
-     empty the ring, never strand every VS on the victim.  [false]
-     when the victim was shielded (the transaction then proceeds). *)
+  (* Mid-window fail-stop under {!Dht.can_crash}.  [false] when the
+     victim was shielded (the transaction then proceeds). *)
   let crash_endpoint id =
-    Dht.is_alive dht id
-    && Dht.n_nodes dht > 1
-    && List.length (Dht.node dht id).Dht.vss < Dht.n_vs dht
+    Dht.can_crash dht id
     && begin
          Dht.crash dht id;
          true

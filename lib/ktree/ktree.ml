@@ -14,7 +14,8 @@ type node = { region : Region.t; depth : int; host : Id.t; leaf : bool }
 
 type t = {
   k : int;
-  (* Sorted VS ids at the last sync: the tree the sweeps traverse. *)
+  (* The DHT's ring ids at the last sync ({!Dht.ring_ids}, shared and
+     never mutated): the tree the sweeps traverse. *)
   mutable ids : int array;
   (* Per VS rank: its designated leaf as [pack depth start], or -1. *)
   mutable leaf_of : int array;
@@ -108,25 +109,13 @@ let slot t ~start ~len depth lo hi =
 
 type mode = Build | Repair | Refresh
 
-let ring_ids dht =
-  let ids = Array.make (Dht.n_vs dht) 0 in
-  ignore
-    (Dht.fold_vs dht ~init:0 ~f:(fun i v ->
-         ids.(i) <- v.Dht.vs_id;
-         i + 1));
-  ids
-
-(* The ring still has exactly the ids of the last sync (a VS transfer
+(* The ring still has exactly the ids of the last sync: the DHT hands
+   out a new id array only when a VS joins or leaves (a VS transfer
    keeps its id, so it changes nothing here). *)
-let unchanged t dht =
-  let ids = t.ids in
-  Dht.n_vs dht = Array.length ids
-  && Dht.fold_vs dht ~init:0 ~f:(fun i v ->
-         if i >= 0 && ids.(i) = v.Dht.vs_id then i + 1 else -1)
-     >= 0
+let unchanged t dht = t.ids == Dht.ring_ids dht
 
 (* Descends the tree of the current ring beside the tree of the last
-   sync, replaces the snapshot, and charges what the distributed
+   sync, adopts the ring's id array, and charges what the distributed
    maintenance would send: K+1 per node whose host changed (it tells
    its parent and children), one per pruned child and one per planted
    node.  A repair re-plants from the parent's healed host, or at the
@@ -134,9 +123,9 @@ let unchanged t dht =
    up from the parent's current host; only build and repair route
    lookups.  Returns the hosts changed. *)
 let sync ~mode ~route_messages t dht =
-  if Dht.n_vs dht = 0 then invalid_arg "Ktree: empty ring";
-  let k = t.k and oids = t.ids and ids = ring_ids dht in
+  let k = t.k and oids = t.ids and ids = Dht.ring_ids dht in
   let n = Array.length ids in
+  if n = 0 then invalid_arg "Ktree: empty ring";
   let leaf_of = Array.make n (-1) and hosted = Array.make n 0 in
   let n_nodes = ref 0 and n_leaves = ref 0 and depth = ref 0 in
   let moved = ref 0 in

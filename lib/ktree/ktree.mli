@@ -13,10 +13,10 @@ module Dht = P2plb_chord.Dht
     This guarantees at least one KT leaf is planted in every VS.
 
     The tree is a function of the ring, so it is not stored: a value
-    of {!t} keeps the sorted VS ids seen at the last {e sync}
-    ({!build}, {!repair} or a changing {!refresh}) plus per-VS
-    summaries, and every operation computes the nodes it needs by one
-    descent over those ids.  Sweeps, {!fold_nodes} and the per-VS
+    of {!t} keeps the DHT's sorted id array ({!Dht.ring_ids}) of the
+    last {e sync} ({!build}, {!repair} or a changing {!refresh}), no
+    copy of its own, plus per-VS summaries, and every operation
+    computes the nodes it needs by one descent over those ids.  Sweeps, {!fold_nodes} and the per-VS
     queries see the tree of the last sync, not the live ring.
 
     Maintenance is soft state: {!repair} and {!refresh} diff the tree
@@ -80,7 +80,8 @@ val repair : ?route_messages:bool -> t -> Dht.t -> int
     current ring.  With [route_messages] a re-plant's lookup is issued
     from the parent's healed host (at the root from the old host if it
     is alive, else by the key's new owner).  Free, and it counts
-    nothing, when the ring has the ids of the last sync.  Returns the
+    nothing, when the ring has the ids of the last sync (an O(1)
+    check: {!Dht.ring_ids} is still the array of that sync).  Returns the
     number of KT nodes re-planted this pass; cumulative costs are
     exposed by {!repairs} / {!repair_messages}. *)
 

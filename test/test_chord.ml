@@ -3,6 +3,7 @@ module Region = P2plb_idspace.Region
 module Dht = P2plb_chord.Dht
 module Ring_map = P2plb_chord.Ring_map
 module Prng = P2plb_prng.Prng
+module Ktree = P2plb_ktree.Ktree
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -274,6 +275,209 @@ let prop_one_probe_finger_matches_scan =
         ids;
       true)
 
+(* ---- model-based: node table, ring snapshot, tree sync ------------------ *)
+
+(* Membership and load operations; VS and node arguments are picks,
+   reduced modulo what exists when the step runs, except [Crash],
+   whose raw id may be unknown or negative. *)
+type op =
+  | Join of int
+  | Join_ids of int list
+  | Crash of int
+  | Transfer of int * int
+  | Set_load of int * float
+  | Remove of int
+
+let print_op = function
+  | Join n -> Printf.sprintf "Join %d" n
+  | Join_ids ids ->
+    Printf.sprintf "Join_ids [%s]"
+      (String.concat ";" (List.map string_of_int ids))
+  | Crash id -> Printf.sprintf "Crash %d" id
+  | Transfer (v, n) -> Printf.sprintf "Transfer (%d, %d)" v n
+  | Set_load (v, l) -> Printf.sprintf "Set_load (%d, %g)" v l
+  | Remove v -> Printf.sprintf "Remove %d" v
+
+(* Chosen ids crowd both ends of the id space, so they collide with
+   each other and cut the tree deep. *)
+let chosen_id x = if x < 16 then x else Id.space_size - 1 - (x - 16)
+
+(* Draws are let-bound so their order does not depend on the
+   compiler's argument evaluation order. *)
+let op_arb =
+  Prop.make ~print:print_op (fun rng ->
+      let pick () = Prng.int rng 1000 in
+      match Prng.int rng 6 with
+      | 0 -> Join (1 + Prng.int rng 3)
+      | 1 ->
+        Join_ids
+          (Prop.init_in_order (Prng.int rng 3) (fun _ ->
+               chosen_id (Prng.int rng 32)))
+      | 2 -> Crash (Prng.int rng 24 - 2)
+      | 3 ->
+        let v = pick () in
+        Transfer (v, pick ())
+      | 4 ->
+        let v = pick () in
+        Set_load (v, Prng.float rng 10.0)
+      | _ -> Remove (pick ()))
+
+(* Runs [ops] on a DHT beside a model (join-ordered node ids with their
+   alive flags, and each VS id with its owner), checking the node
+   table, the ring snapshot and a K-nary tree repaired after every
+   step. *)
+let prop_dht_matches_model (k, ops) =
+  let dht = Dht.create ~seed:k in
+  let nodes = ref [] and vss = ref [] in
+  let joined id =
+    check Alcotest.int "dense node ids" (List.length !nodes) id;
+    nodes := !nodes @ [ (id, true) ];
+    List.iter
+      (fun v ->
+        check Alcotest.bool "new VS id" false (List.mem_assoc v.Dht.vs_id !vss);
+        vss := (v.Dht.vs_id, id) :: !vss)
+      (Dht.node dht id).Dht.vss;
+    vss := List.sort (fun (a, _) (b, _) -> Int.compare a b) !vss
+  in
+  joined (Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:2);
+  let tree = Ktree.build ~route_messages:true ~k dht in
+  let refused f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let step op =
+    let before = List.map fst !vss and prev = Dht.ring_ids dht in
+    let n_joined = List.length !nodes in
+    let vs_at p = prev.(p mod Array.length prev) in
+    (match op with
+    | Join n -> joined (Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:n)
+    | Join_ids l ->
+      let f () = Dht.join_with_ids dht ~capacity:1.0 ~underlay:0 l in
+      if
+        l <> []
+        && List.length (List.sort_uniq Int.compare l) = List.length l
+        && not (List.exists (fun id -> List.mem id before) l)
+      then joined (f ())
+      else check Alcotest.bool "bad ids refused" true (refused f)
+    | Crash id ->
+      let known = id >= 0 && id < n_joined in
+      let is_alive = known && List.assoc id !nodes in
+      let hosted = List.filter (fun (_, o) -> o = id) !vss in
+      let allowed =
+        is_alive
+        && List.length (List.filter snd !nodes) > 1
+        && List.length hosted < List.length !vss
+      in
+      check Alcotest.bool "can_crash" allowed (Dht.can_crash dht id);
+      if not known then
+        check Alcotest.bool "unknown node refused" true
+          (match Dht.crash dht id with
+          | () -> false
+          | exception Not_found -> true)
+      else if is_alive && not allowed then
+        check Alcotest.bool "emptying crash refused" true
+          (refused (fun () -> Dht.crash dht id))
+      else begin
+        Dht.crash dht id;
+        nodes := List.map (fun (i, a) -> (i, a && i <> id)) !nodes;
+        vss := List.filter (fun (_, o) -> o <> id) !vss
+      end
+    | Transfer (v, n) ->
+      let vs_id = vs_at v and to_node = n mod n_joined in
+      let f () = Dht.transfer_vs dht ~vs_id ~to_node in
+      if List.assoc to_node !nodes then begin
+        f ();
+        vss :=
+          List.map (fun (i, o) -> (i, if i = vs_id then to_node else o)) !vss
+      end
+      else check Alcotest.bool "dead target refused" true (refused f)
+    | Set_load (v, l) -> (
+      match Dht.vs_of_id dht (vs_at v) with
+      | Some vs -> Dht.set_vs_load dht vs l
+      | None -> Alcotest.fail "ring_ids names a missing VS")
+    | Remove v ->
+      let vs_id = vs_at v in
+      let f () = Dht.remove_vs dht ~vs_id in
+      if List.length before > 1 then begin
+        f ();
+        vss := List.remove_assoc vs_id !vss
+      end
+      else check Alcotest.bool "last VS kept" true (refused f));
+    let after = List.map fst !vss in
+    let changed = not (List.equal Int.equal before after) in
+    (* node table *)
+    let with_flag flag =
+      List.filter_map (fun (i, a) -> if a = flag then Some i else None) !nodes
+    in
+    let ids_of = List.map (fun n -> n.Dht.node_id) in
+    let alive_ids = with_flag true in
+    check Alcotest.int "n_nodes" (List.length alive_ids) (Dht.n_nodes dht);
+    check Alcotest.(list int) "alive_nodes" alive_ids
+      (ids_of (Dht.alive_nodes dht));
+    check Alcotest.(list int) "dead_nodes" (with_flag false)
+      (ids_of (Dht.dead_nodes dht));
+    check Alcotest.(list int) "fold_nodes" alive_ids
+      (List.rev
+         (Dht.fold_nodes dht ~init:[] ~f:(fun acc n -> n.Dht.node_id :: acc)));
+    List.iteri
+      (fun i id ->
+        check Alcotest.int "alive_nth" id (Dht.alive_nth dht i).Dht.node_id)
+      alive_ids;
+    List.iter
+      (fun i ->
+        check Alcotest.bool "alive_nth out of range" true
+          (refused (fun () -> Dht.alive_nth dht i)))
+      [ -1; List.length alive_ids ];
+    List.iter
+      (fun (i, a) ->
+        let n = Dht.node dht i in
+        check Alcotest.int "node" i n.Dht.node_id;
+        check Alcotest.bool "is_alive" a (Dht.is_alive dht i);
+        check Alcotest.(list int) "hosted VSs"
+          (List.filter_map (fun (v, o) -> if o = i then Some v else None) !vss)
+          (List.sort Int.compare (List.map (fun v -> v.Dht.vs_id) n.Dht.vss)))
+      !nodes;
+    List.iter
+      (fun id ->
+        check Alcotest.bool "unknown id is not alive" false
+          (Dht.is_alive dht id);
+        check Alcotest.bool "unknown id" true
+          (match Dht.node dht id with _ -> false | exception Not_found -> true))
+      [ -1; min_int; n_joined + 1; List.length !nodes ];
+    (* ring snapshot *)
+    let ring = Dht.ring_ids dht in
+    check Alcotest.(list int) "ring_ids = model" after (Array.to_list ring);
+    check Alcotest.(list int) "ring_ids = fold_vs" after
+      (List.rev
+         (Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v.Dht.vs_id :: acc)));
+    check Alcotest.bool "same array iff same ids" (not changed) (ring == prev);
+    (* tree sync *)
+    let msgs = Ktree.messages tree and rmsgs = Ktree.repair_messages tree in
+    let replanted = Ktree.repair ~route_messages:true tree dht in
+    if not changed then begin
+      check Alcotest.int "unchanged ring: nothing re-planted" 0 replanted;
+      check Alcotest.int "unchanged ring: no messages" msgs
+        (Ktree.messages tree);
+      check Alcotest.int "unchanged ring: no repair messages" rmsgs
+        (Ktree.repair_messages tree)
+    end
+    else begin
+      let fresh = Ktree.build ~k dht in
+      check Alcotest.(result unit string) "repaired tree consistent" (Ok ())
+        (Ktree.check_consistent tree dht);
+      check Alcotest.int "n_nodes = fresh build" (Ktree.n_nodes fresh)
+        (Ktree.n_nodes tree);
+      check Alcotest.int "depth = fresh build" (Ktree.depth fresh)
+        (Ktree.depth tree)
+    end
+  in
+  List.iter step ops;
+  true
+
+let test_dht_model () =
+  Prop.run ~count:150 ~seed:0xd47 ~name:"dht matches model"
+    (Prop.pair (Prop.int_in 2 4) (Prop.list_of ~max_len:40 op_arb))
+    prop_dht_matches_model
+
 let () =
   Alcotest.run "chord"
     [
@@ -318,5 +522,7 @@ let () =
         [
           qtest prop_join_leave_partition;
           qtest prop_one_probe_finger_matches_scan;
+          Alcotest.test_case "dht matches model"
+            `Quick test_dht_model;
         ] );
     ]

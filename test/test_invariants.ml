@@ -50,6 +50,30 @@ let test_invariants_hold_through_lb_and_churn () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e)
 
+(* Churn never crashes a node hosting every VS: two nodes, node 0 takes
+   all of node 1's VSs, and crash draws pick node 0 (skipped) or node 1
+   (crashed, nothing to absorb) until one node is left. *)
+let test_crash_spares_sole_host () =
+  let spared = ref 0 in
+  for seed = 1 to 8 do
+    let s = Scenario.build ~seed { small_config with Scenario.n_nodes = 2 } in
+    let dht = s.Scenario.dht in
+    List.iter
+      (fun v -> Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:0)
+      (Dht.node dht 1).Dht.vss;
+    let total = Dht.total_load dht in
+    Scenario.crash_nodes s 1;
+    if Dht.n_nodes dht = 2 then incr spared;
+    Scenario.crash_nodes s 3;
+    check Alcotest.bool "sole host alive" true (Dht.is_alive dht 0);
+    match
+      Invariants.all ~tree:(Ktree.build ~k:2 dht) ~expected_total:total dht
+    with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  check Alcotest.bool "some draw hit the sole host" true (!spared > 0)
+
 let test_conservation_detects_drift () =
   let s = Scenario.build ~seed:3 small_config in
   let total = Dht.total_load s.Scenario.dht in
@@ -281,6 +305,8 @@ let () =
             test_fresh_network_passes_all;
           Alcotest.test_case "post LB+churn" `Quick
             test_invariants_hold_through_lb_and_churn;
+          Alcotest.test_case "crash spares the sole host" `Quick
+            test_crash_spares_sole_host;
           Alcotest.test_case "detects drift" `Quick
             test_conservation_detects_drift;
           Alcotest.test_case "ring partition" `Quick test_ring_partition_ok;
